@@ -26,8 +26,8 @@
 //                    every K epochs (0 = static block partition, default)
 //   --rebalance-moves=M  max nodes migrated per rebalance barrier
 //   --full           paper-scale workload (overrides the laptop defaults)
-// Unknown flags and bad positional arguments print a usage message and
-// exit 2 (malformed VALUES like --nodes=abc still abort via nc::CheckError).
+// Unknown flags, bad positional arguments and malformed values (--nodes=abc)
+// print a usage message and exit 2.
 #pragma once
 
 #include <cstdio>
@@ -46,7 +46,7 @@
 namespace ncb {
 
 /// Parses argv against the standard flags plus `extra`; prints usage and
-/// exits 2 on unknown flags or malformed arguments.
+/// exits 2 on unknown flags, malformed arguments or malformed values.
 inline nc::Flags parse_flags(int argc, const char* const* argv,
                              std::initializer_list<const char*> extra = {}) {
   std::vector<std::string> allowed = {

@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
 
     if (run_serial) {
       // The OnlineSimulator facade: the classic constructor shape over the
-      // shards=1 kernel. Wall time covers construction + run (dense state
-      // trades setup for per-event speed; the trade must show in the
-      // number).
+      // shards=1 kernel. Wall time covers construction + run, so setup
+      // cost shows in the number.
       const auto t0 = std::chrono::steady_clock::now();
       nc::lat::LatencyNetwork network(
           nc::lat::Topology::make(

@@ -4,7 +4,7 @@
 // ISSUE 7's acceptance bench. The event-core suite scores the kernel at
 // bench-tier sizes (256/1k/4k); this tier runs the configurations the
 // compact per-client link index (core/nc_client.hpp), the sparse shard
-// link store (sim/link_store.hpp) and partitioned trace ingest
+// link store (common/link_store.hpp) and partitioned trace ingest
 // (lat::partition_trace + ShardedEngine::run_partitioned) exist for:
 //   * ONLINE runs at n in {10k, 50k, 100k} (1 sim hour by default) — the
 //     per-row MemoryBudget breakdown is the point: client bytes must grow

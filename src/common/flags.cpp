@@ -48,7 +48,8 @@ double Flags::get_double(const std::string& name, double default_value) const {
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  NC_CHECK_MSG(end != nullptr && *end == '\0', "bad double for --" + name);
+  if (end == nullptr || *end != '\0')
+    bad_value("bad double for --" + name + ": " + it->second);
   return v;
 }
 
@@ -57,7 +58,8 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t default_value)
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  NC_CHECK_MSG(end != nullptr && *end == '\0', "bad integer for --" + name);
+  if (end == nullptr || *end != '\0')
+    bad_value("bad integer for --" + name + ": " + it->second);
   return v;
 }
 
@@ -67,8 +69,7 @@ bool Flags::get_bool(const std::string& name, bool default_value) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1") return true;
   if (v == "false" || v == "0") return false;
-  NC_CHECK_MSG(false, "bad boolean for --" + name);
-  return default_value;
+  bad_value("bad boolean for --" + name + ": " + v);
 }
 
 std::vector<double> Flags::get_double_list(
@@ -81,8 +82,8 @@ std::vector<double> Flags::get_double_list(
   while (std::getline(ss, item, ',')) {
     char* end = nullptr;
     const double v = std::strtod(item.c_str(), &end);
-    NC_CHECK_MSG(end != nullptr && *end == '\0' && !item.empty(),
-                 "bad list element for --" + name);
+    if (end == nullptr || *end != '\0' || item.empty())
+      bad_value("bad list element for --" + name + ": " + it->second);
     out.push_back(v);
   }
   return out;
@@ -115,15 +116,22 @@ std::string Flags::usage(const std::string& program,
 
 Flags Flags::parse_or_exit(int argc, const char* const* argv,
                            const std::vector<std::string>& allowed) {
-  const std::string program = argc >= 1 ? argv[0] : "prog";
+  const std::string usage_line = usage(argc >= 1 ? argv[0] : "prog", allowed);
   try {
     Flags flags(argc, argv);
     flags.check_known(allowed);
+    flags.usage_ = usage_line;
     return flags;
   } catch (const CheckError& e) {
-    std::cerr << e.what() << '\n' << usage(program, allowed) << '\n';
+    std::cerr << e.what() << '\n' << usage_line << '\n';
     std::exit(2);
   }
+}
+
+void Flags::bad_value(const std::string& msg) const {
+  if (usage_.empty()) throw CheckError(msg);
+  std::cerr << msg << '\n' << usage_ << '\n';
+  std::exit(2);
 }
 
 }  // namespace nc

@@ -4,10 +4,11 @@
 // Unrecognized positional arguments are an error: bench binaries take flags
 // only, so typos fail loudly instead of silently running the default workload.
 // Binaries that declare their flag vocabulary up front should use
-// parse_or_exit(), which turns bad positional arguments and unknown --flags
-// into a usage message on stderr plus exit(2) instead of an uncaught throw.
-// Value TYPE errors (--nodes=abc) surface later, at the get_int/get_double
-// call, and still throw nc::CheckError.
+// parse_or_exit(), which turns bad positional arguments, unknown --flags
+// and malformed values (--nodes=abc, caught later at the get_int/get_double
+// call) into a usage message on stderr plus exit(2) instead of an uncaught
+// throw. Flags built directly (library callers) throw nc::CheckError
+// instead.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +53,20 @@ class Flags {
 
   /// Parses argv and validates every flag against `allowed`. On malformed
   /// input (e.g. a bare positional argument) or an unknown flag, prints the
-  /// error plus a usage message to stderr and exits with status 2.
+  /// error plus a usage message to stderr and exits with status 2. The
+  /// returned Flags do the same when a getter meets a malformed value.
   [[nodiscard]] static Flags parse_or_exit(int argc, const char* const* argv,
                                            const std::vector<std::string>& allowed);
 
  private:
+  /// Throws nc::CheckError, or prints `msg` and the usage line and exits 2
+  /// for Flags from parse_or_exit.
+  [[noreturn]] void bad_value(const std::string& msg) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
+  /// Usage line printed on a bad value; empty for library callers.
+  std::string usage_;
 };
 
 }  // namespace nc

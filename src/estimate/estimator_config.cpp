@@ -28,9 +28,7 @@ std::optional<EstimatorBackend> backend_from_string(
 }
 
 std::unique_ptr<LatencyEstimator> make_estimator(const EstimatorSpec& spec,
-                                                 int num_nodes,
-                                                 NodeId first_owned,
-                                                 int owned_count) {
+                                                 int num_nodes) {
   switch (spec.backend) {
     case EstimatorBackend::kCoordinates:
       return std::make_unique<CoordinateEstimator>(
@@ -39,9 +37,7 @@ std::unique_ptr<LatencyEstimator> make_estimator(const EstimatorSpec& spec,
       IDMSEstimatorConfig config;
       config.max_age_s = spec.max_age_s;
       config.alpha = spec.idms_alpha;
-      config.eager_slot_limit = spec.idms_eager_slot_limit;
-      return std::make_unique<IDMSEstimator>(config, num_nodes, first_owned,
-                                             owned_count);
+      return std::make_unique<IDMSEstimator>(config, num_nodes);
     }
     case EstimatorBackend::kSnapshot:
       // The engine wires spec.snapshot_source to its own publisher before

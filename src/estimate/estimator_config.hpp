@@ -10,8 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "common/paged_store.hpp"
-#include "core/node_id.hpp"
 #include "estimate/latency_estimator.hpp"
 
 namespace nc::est {
@@ -30,8 +28,6 @@ struct EstimatorSpec {
   double max_age_s = 600.0;
   /// IDMS only: EWMA weight of the newest sample.
   double idms_alpha = 0.3;
-  /// IDMS only: paged-store threshold for the delay matrix.
-  std::size_t idms_eager_slot_limit = kPagedStoreDefaultEagerSlotLimit;
   /// Snapshot backend only: where estimates are read from (non-owning; must
   /// outlive the estimator). Leave null to have the engine wire its own
   /// publisher — the sharded engine fills this in and turns snapshot
@@ -48,11 +44,10 @@ struct EstimatorSpec {
 [[nodiscard]] std::optional<EstimatorBackend> backend_from_string(
     const std::string& name) noexcept;
 
-/// Builds the backend instance owning nodes [first_owned, first_owned +
-/// owned_count) of a num_nodes deployment (a shard slice, or 0/num_nodes
-/// for a whole-run instance).
+/// Builds a backend instance over a num_nodes deployment. A shard's
+/// instance is fed only its owned nodes' observations, so it holds state
+/// for those nodes alone.
 [[nodiscard]] std::unique_ptr<LatencyEstimator> make_estimator(
-    const EstimatorSpec& spec, int num_nodes, NodeId first_owned,
-    int owned_count);
+    const EstimatorSpec& spec, int num_nodes);
 
 }  // namespace nc::est

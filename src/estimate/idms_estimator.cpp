@@ -1,27 +1,29 @@
 #include "estimate/idms_estimator.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
 namespace nc::est {
 
-IDMSEstimator::IDMSEstimator(const IDMSEstimatorConfig& config, int num_nodes,
-                             NodeId first_owned, int owned_count)
+namespace {
+
+[[nodiscard]] std::size_t id_of(NodeId id) noexcept {
+  return static_cast<std::size_t>(id);
+}
+
+}  // namespace
+
+IDMSEstimator::IDMSEstimator(const IDMSEstimatorConfig& config, int num_nodes)
+    // The fallback rejects a negative node count and a non-positive
+    // staleness horizon before the matrix is sized.
     : config_(config),
-      num_nodes_(num_nodes),
-      first_owned_(first_owned),
-      cells_(static_cast<std::size_t>(owned_count) *
-                 static_cast<std::size_t>(num_nodes),
-             config.eager_slot_limit),
       fallback_(CoordinateEstimatorConfig{config.max_age_s}, num_nodes) {
-  NC_CHECK_MSG(num_nodes >= 0 && owned_count >= 0 && first_owned >= 0,
-               "negative matrix extent");
-  NC_CHECK_MSG(first_owned + owned_count <= num_nodes,
-               "owned slice exceeds the node id space");
-  NC_CHECK_MSG(config.max_age_s > 0.0, "staleness horizon must be positive");
   NC_CHECK_MSG(config.alpha > 0.0 && config.alpha <= 1.0,
                "EWMA weight must be in (0, 1]");
+  cells_ = ShardLinkStore<Cell>(id_of(num_nodes), id_of(num_nodes));
 }
 
 void IDMSEstimator::on_observation(const LatencyObservation& obs) {
@@ -30,10 +32,8 @@ void IDMSEstimator::on_observation(const LatencyObservation& obs) {
   traffic_bytes_ += kMatrixReportBytes;
   fallback_.on_observation(obs);
 
-  NC_ASSERT(obs.src >= first_owned_);
-  Cell& cell = cells_.at(cell_index(obs.src, obs.dst));
+  Cell& cell = cells_.at(id_of(obs.src), id_of(obs.dst));
   if (cell.updated_s < 0.0) {
-    filled_.push_back(cell_index(obs.src, obs.dst));
     cell.rtt_ms = obs.raw_rtt_ms;
   } else {
     cell.rtt_ms =
@@ -46,11 +46,9 @@ std::optional<double> IDMSEstimator::estimate_rtt(NodeId a, NodeId b,
                                                   double now_s) {
   ++queries_;
   last_now_s_ = std::max(last_now_s_, now_s);
-  NC_ASSERT(a >= first_owned_);
-  // try_at keeps never-measured pairs from materializing matrix pages.
-  const Cell* cell = cells_.try_at(cell_index(a, b));
-  if (cell != nullptr && cell->updated_s >= 0.0 &&
-      now_s - cell->updated_s <= config_.max_age_s) {
+  // try_at keeps never-measured pairs from materializing matrix cells.
+  const Cell* cell = cells_.try_at(id_of(a), id_of(b));
+  if (cell != nullptr && now_s - cell->updated_s <= config_.max_age_s) {
     ++direct_hits_;
     return cell->rtt_ms;
   }
@@ -63,44 +61,23 @@ std::optional<double> IDMSEstimator::estimate_rtt(NodeId a, NodeId b,
 }
 
 EstimatorNodeState IDMSEstimator::extract_node_state(NodeId node) {
-  NC_ASSERT(node >= first_owned_ &&
-            cell_index(node, 0) + static_cast<std::size_t>(num_nodes_) <=
-                cells_.size());
-  const std::size_t row_begin = cell_index(node, 0);
-  const std::size_t row_end = row_begin + static_cast<std::size_t>(num_nodes_);
-
+  std::vector<std::pair<std::uint32_t, Cell>> row;
+  cells_.extract_row(id_of(node), row, [](const Cell&) { return true; });
   EstimatorNodeState state;
-  // Swap-remove the row's filled indices; filled_ is only ever scanned as a
-  // set (stats' staleness pass), so its order never reaches results.
-  for (std::size_t i = 0; i < filled_.size();) {
-    const std::size_t idx = filled_[i];
-    if (idx < row_begin || idx >= row_end) {
-      ++i;
-      continue;
-    }
-    Cell* cell = cells_.try_at(idx);
-    NC_ASSERT(cell != nullptr && cell->updated_s >= 0.0);
-    state.cells.push_back({static_cast<NodeId>(idx - row_begin), cell->rtt_ms,
-                           cell->updated_s});
-    *cell = Cell{};
-    filled_[i] = filled_.back();
-    filled_.pop_back();
-  }
-  std::sort(state.cells.begin(), state.cells.end(),
-            [](const EstimatorNodeState::MatrixCell& a,
-               const EstimatorNodeState::MatrixCell& b) { return a.dst < b.dst; });
+  state.cells.reserve(row.size());
+  for (const auto& [dst, cell] : row)
+    state.cells.push_back(
+        {static_cast<NodeId>(dst), cell.rtt_ms, cell.updated_s});
   return state;
 }
 
 void IDMSEstimator::install_node_state(NodeId node,
                                        const EstimatorNodeState& state) {
   for (const EstimatorNodeState::MatrixCell& c : state.cells) {
-    const std::size_t idx = cell_index(node, c.dst);
-    Cell& cell = cells_.at(idx);
+    Cell& cell = cells_.at(id_of(node), id_of(c.dst));
     NC_ASSERT(cell.updated_s < 0.0);
     cell.rtt_ms = c.rtt_ms;
     cell.updated_s = c.updated_s;
-    filled_.push_back(idx);
   }
 }
 
@@ -111,16 +88,13 @@ EstimatorStats IDMSEstimator::stats() const {
   s.direct_hits = direct_hits_;
   s.fallback_hits = fallback_hits_;
   s.misses = misses_;
-  s.entries = filled_.size();
-  for (const std::size_t idx : filled_) {
-    const Cell* cell = cells_.try_at(idx);
-    NC_ASSERT(cell != nullptr && cell->updated_s >= 0.0);
-    if (last_now_s_ - cell->updated_s > config_.max_age_s) ++s.stale_entries;
-  }
+  s.entries = cells_.size();
+  cells_.for_each([&](const Cell& cell) {
+    if (last_now_s_ - cell.updated_s > config_.max_age_s) ++s.stale_entries;
+  });
   const EstimatorStats fb = fallback_.stats();
   // sizeof(*this) already covers the embedded fallback's own footprint.
   s.memory_bytes = sizeof(*this) + cells_.memory_bytes() +
-                   filled_.capacity() * sizeof(std::size_t) +
                    (fb.memory_bytes - sizeof(fallback_));
   s.traffic_bytes = traffic_bytes_ + fb.traffic_bytes;
   return s;

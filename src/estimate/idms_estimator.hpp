@@ -13,10 +13,9 @@
 // processing an observation whose observer is `src`, and every instance is
 // owned by the shard that owns `src` — so cell updates happen in the
 // shard's canonical processing order and the matrix is bit-identical at any
-// shard count. The matrix is indexed (src - first_owned) * n + dst exactly
-// like the engine's directed link arrays, and paged via common/paged_store
-// above the eager slot limit so big deployments pay for sampled pairs, not
-// for n^2/W.
+// shard count. The matrix is a ShardLinkStore with one row per src, like
+// the engine's directed links, so a deployment pays for the pairs it
+// measured, not for n^2.
 //
 // Staleness + fallback: a cell older than `max_age_s` no longer answers —
 // unlike a coordinate, a point measurement says nothing once the paths have
@@ -30,9 +29,7 @@
 // coordinate state the fallback still needs piggybacked.
 #pragma once
 
-#include <vector>
-
-#include "common/paged_store.hpp"
+#include "common/link_store.hpp"
 #include "estimate/coordinate_estimator.hpp"
 #include "estimate/latency_estimator.hpp"
 
@@ -43,8 +40,6 @@ struct IDMSEstimatorConfig {
   double max_age_s = 600.0;
   /// EWMA weight of the newest sample when refreshing a live cell.
   double alpha = 0.3;
-  /// Paged-store threshold for the matrix (tests shrink it to force paging).
-  std::size_t eager_slot_limit = kPagedStoreDefaultEagerSlotLimit;
 };
 
 class IDMSEstimator final : public LatencyEstimator {
@@ -52,11 +47,9 @@ class IDMSEstimator final : public LatencyEstimator {
   /// One matrix report on the wire: two node ids, an RTT and a timestamp.
   static constexpr std::uint64_t kMatrixReportBytes = 20;
 
-  /// Owns the directed rows of nodes [first_owned, first_owned + owned_count)
-  /// out of a `num_nodes`-node deployment (a per-shard slice; pass 0 /
-  /// num_nodes for a whole-run instance).
-  IDMSEstimator(const IDMSEstimatorConfig& config, int num_nodes,
-                NodeId first_owned, int owned_count);
+  /// A matrix over a `num_nodes`-node id space. A shard's instance fills
+  /// only the rows of the nodes it owns.
+  IDMSEstimator(const IDMSEstimatorConfig& config, int num_nodes);
 
   void on_observation(const LatencyObservation& obs) override;
   [[nodiscard]] std::optional<double> estimate_rtt(NodeId a, NodeId b,
@@ -71,24 +64,15 @@ class IDMSEstimator final : public LatencyEstimator {
 
  private:
   /// One directed measurement; updated_s < 0 marks "never measured" (the
-  /// value a fresh page reads as).
+  /// value a freshly touched cell reads as).
   struct Cell {
     double rtt_ms = 0.0;
     double updated_s = -1.0;
   };
 
-  [[nodiscard]] std::size_t cell_index(NodeId src, NodeId dst) const noexcept {
-    return static_cast<std::size_t>(src - first_owned_) *
-               static_cast<std::size_t>(num_nodes_) +
-           static_cast<std::size_t>(dst);
-  }
-
   IDMSEstimatorConfig config_;
-  int num_nodes_;
-  NodeId first_owned_;
-  PagedStore<Cell> cells_;
-  /// Indices of filled cells, for O(entries) staleness scans.
-  std::vector<std::size_t> filled_;
+  /// Measured cells only: every live cell holds at least one sample.
+  ShardLinkStore<Cell> cells_;
   CoordinateEstimator fallback_;
 
   std::uint64_t observations_ = 0;

@@ -98,15 +98,13 @@ LinkModelConfig LinkModelConfig::noiseless() {
 }
 
 LatencyNetwork::LatencyNetwork(Topology topology, LinkModelConfig link_config,
-                               AvailabilityConfig availability, std::uint64_t seed,
-                               std::size_t eager_slot_limit)
+                               AvailabilityConfig availability, std::uint64_t seed)
     : topology_(std::move(topology)),
       config_(link_config),
       availability_(availability),
       seed_(seed),
-      links_(static_cast<std::size_t>(topology_.size()) *
-                 static_cast<std::size_t>(std::max(0, topology_.size() - 1)) / 2,
-             eager_slot_limit),
+      links_(static_cast<std::size_t>(topology_.size()),
+             static_cast<std::size_t>(topology_.size())),
       nodes_(static_cast<std::size_t>(topology_.size())),
       node_init_(static_cast<std::size_t>(topology_.size()), false) {
   NC_CHECK_MSG(config_.body_sigma >= 0.0, "negative jitter sigma");
@@ -120,22 +118,16 @@ std::uint64_t LatencyNetwork::link_key(NodeId i, NodeId j) noexcept {
   return (lo << 32) | hi;
 }
 
-std::size_t LatencyNetwork::link_index(NodeId i, NodeId j) const {
-  // The sparse map this replaced tolerated any key as an inert entry; a
-  // dense index must reject bad endpoints or write out of bounds.
+LatencyNetwork::LinkState& LatencyNetwork::link_slot(NodeId i, NodeId j) {
   NC_CHECK_MSG(i >= 0 && j >= 0 && i != j && i < topology_.size() &&
                    j < topology_.size(),
                "bad link endpoints");
-  const auto n = static_cast<std::size_t>(topology_.size());
-  const auto lo = static_cast<std::size_t>(std::min(i, j));
-  const auto hi = static_cast<std::size_t>(std::max(i, j));
-  // Row-major upper triangle: row lo starts after the first lo rows, whose
-  // lengths are (n-1), (n-2), ..., (n-lo).
-  return lo * (2 * n - lo - 1) / 2 + (hi - lo - 1);
+  return links_.at(static_cast<std::size_t>(std::min(i, j)),
+                   static_cast<std::size_t>(std::max(i, j)));
 }
 
 LatencyNetwork::LinkState& LatencyNetwork::link_at(NodeId i, NodeId j, double t) {
-  LinkState& s = links_.at(link_index(i, j));
+  LinkState& s = link_slot(i, j);
   if (!s.initialized) {
     // Lazy stream seeding at first-touch time; the derivation key is the
     // same (lo, hi) pair as always, so every seed maps to the same trace.
@@ -203,7 +195,7 @@ void LatencyNetwork::force_route_change(NodeId i, NodeId j, double factor, doubl
 void LatencyNetwork::schedule_route_change(NodeId i, NodeId j, double factor,
                                            double at_t) {
   NC_CHECK_MSG(factor > 0.0, "route factor must be positive");
-  LinkState& s = links_.at(link_index(i, j));
+  LinkState& s = link_slot(i, j);
   if (!s.initialized) {
     // Initialize exactly as link_at would at first sample time; the first
     // real sample will advance from here.

@@ -26,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/paged_store.hpp"
+#include "common/link_store.hpp"
 #include "common/rng.hpp"
 #include "core/node_id.hpp"
 #include "latency/topology.hpp"
@@ -141,14 +141,8 @@ struct AvailabilityConfig {
 
 class LatencyNetwork {
  public:
-  /// `eager_slot_limit`: per-link state stays one flat array up to this many
-  /// undirected links and switches to lazily-allocated fixed-size pages
-  /// beyond (common/paged_store.hpp) — how a 10k-node network (~50M links)
-  /// costs memory proportional to the links actually sampled. Both modes are
-  /// observationally identical; the default keeps bench-tier n flat.
   LatencyNetwork(Topology topology, LinkModelConfig link_config,
-                 AvailabilityConfig availability, std::uint64_t seed,
-                 std::size_t eager_slot_limit = kPagedStoreDefaultEagerSlotLimit);
+                 AvailabilityConfig availability, std::uint64_t seed);
 
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
   [[nodiscard]] const LinkModelConfig& link_config() const noexcept { return config_; }
@@ -202,9 +196,9 @@ class LatencyNetwork {
   };
 
   [[nodiscard]] static std::uint64_t link_key(NodeId i, NodeId j) noexcept;
-  /// Dense triangular index of the undirected link {i, j}. Throws on
-  /// out-of-range ids or i == j (a dense array has no inert slot for them).
-  [[nodiscard]] std::size_t link_index(NodeId i, NodeId j) const;
+  /// The undirected link {i, j}'s state, created on first touch (row = the
+  /// lower id). Throws on out-of-range ids or i == j.
+  LinkState& link_slot(NodeId i, NodeId j);
   LinkState& link_at(NodeId i, NodeId j, double t);
   NodeState& node_at(NodeId i, double t);
 
@@ -212,12 +206,10 @@ class LatencyNetwork {
   LinkModelConfig config_;
   AvailabilityConfig availability_;
   std::uint64_t seed_;
-  /// Per-link stochastic state, dense over the n*(n-1)/2 undirected links
-  /// (triangular index) — flat at bench-tier n, lazily paged beyond. Slots
-  /// stay lazily stream-seeded at first-touch time, exactly like the
-  /// hash-map entries this replaced — the map cost (hash + probe per
-  /// sample, rehash allocations) is gone from the simulator hot path.
-  PagedStore<LinkState> links_;
+  /// Per-link stochastic state for the undirected links sampled so far,
+  /// row = lower id, col = higher id. Slots are lazily stream-seeded at
+  /// first-touch time from the link's own key.
+  ShardLinkStore<LinkState> links_;
   std::vector<NodeState> nodes_;
   std::vector<bool> node_init_;
   std::size_t scheduled_links_ = 0;

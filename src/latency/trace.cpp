@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -75,10 +76,13 @@ TraceReader::TraceReader(const std::string& path) {
 std::optional<TraceRecord> TraceReader::next() {
   if (read_ >= count_) return std::nullopt;
   TraceRecord r;
-  if (!read_pod(in_, r.t_s) || !read_pod(in_, r.src) || !read_pod(in_, r.dst) ||
-      !read_pod(in_, r.rtt_ms)) {
-    return std::nullopt;  // truncated file: stop cleanly
-  }
+  // A body shorter than the header's count is a damaged file (e.g. a cut
+  // partition slice); ending the stream early would shorten a replay
+  // without a word.
+  NC_CHECK_MSG(read_pod(in_, r.t_s) && read_pod(in_, r.src) &&
+                   read_pod(in_, r.dst) && read_pod(in_, r.rtt_ms),
+               "truncated trace: the header declares " + std::to_string(count_) +
+                   " records but the body ends after " + std::to_string(read_));
   ++read_;
   return r;
 }

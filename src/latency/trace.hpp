@@ -59,6 +59,8 @@ class TraceReader final : public TraceSource {
  public:
   explicit TraceReader(const std::string& path);
 
+  /// The next record, or nullopt after the header's record count. Throws
+  /// nc::CheckError when the body ends before that count.
   [[nodiscard]] std::optional<TraceRecord> next() override;
   [[nodiscard]] int num_nodes() const override { return num_nodes_; }
   [[nodiscard]] std::uint64_t record_count() const noexcept { return count_; }

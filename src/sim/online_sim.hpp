@@ -28,9 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/paged_store.hpp"
 #include "core/nc_client.hpp"
-#include "sim/link_store.hpp"
 #include "core/neighbor_set.hpp"
 #include "estimate/estimator_config.hpp"
 #include "latency/link_model.hpp"
@@ -93,23 +91,10 @@ struct OnlineSimConfig {
   /// through the epoch mailbox. 0 (default) keeps the static block
   /// partition. Metrics are bit-identical at any shard count with
   /// rebalancing on, and identical to off — only per-shard utilization and
-  /// the memory layout change.
+  /// which shard holds each node's state change.
   int rebalance_interval_epochs = 0;
   /// Upper bound on nodes migrated per rebalance barrier (>= 0).
   int rebalance_max_moves = 8;
-
-  /// Per-shard directed-link state stays a flat array up to this many slots
-  /// and switches to lazily-allocated pages beyond (common/paged_store.hpp).
-  /// The default keeps the 4k-node bench tier flat; lower it (0 forces
-  /// paging) to bound memory for very large n — results are identical in
-  /// both modes.
-  std::size_t link_eager_slot_limit = kPagedStoreDefaultEagerSlotLimit;
-  /// Above this many logical slots per shard the link store goes SPARSE
-  /// (per-row compact index + slab, sim/link_store.hpp): page granularity
-  /// stops paying at 100k-node scale, where a node's ~512 scattered targets
-  /// touch nearly every page of its row. Lower it (0 forces sparse) to
-  /// test; results are identical in every mode.
-  std::size_t link_sparse_slot_limit = kShardLinkDefaultSparseSlotLimit;
 };
 
 /// Per-node runtime of the online protocol: clients, neighbor sets with

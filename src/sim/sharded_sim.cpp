@@ -211,28 +211,14 @@ void ShardedEngine::init_shards(int shards, int num_nodes) {
 
   for (auto& shard : shards_) {
     shard.ownership = ownership_;
-    // Directed-link state indexed (src - first_owned, dst), lazily
-    // stream-seeded on first touch. Online mode only — replay traffic
-    // carries its RTTs in the trace, so replay shards own no link state at
-    // all. Static partition: rows cover the shard's contiguous node block.
-    // Dynamic ownership breaks the contiguous-block invariant, so the
-    // stores span the FULL id space (row == node id; first_owned == 0) and
-    // a migration is a row hand-off between stores; forced paged/sparse so
-    // each shard pays for the rows it actually owns, not n^2.
-    if (rebalancing_) {
-      shard.first_owned = 0;
-      if (mode_ == Mode::kOnline)
-        shard.links = ShardLinkStore<DirLink>(
-            static_cast<std::size_t>(num_nodes),
-            static_cast<std::size_t>(num_nodes), 0,
-            config_.link_sparse_slot_limit);
-    } else if (!shard.owned.empty()) {
-      shard.first_owned = shard.owned.front();
-      if (mode_ == Mode::kOnline)
-        shard.links = ShardLinkStore<DirLink>(
-            shard.owned.size(), static_cast<std::size_t>(num_nodes),
-            config_.link_eager_slot_limit, config_.link_sparse_slot_limit);
-    }
+    // Directed-link state indexed (src, dst), lazily stream-seeded on first
+    // touch. Online mode only — replay traffic carries its RTTs in the
+    // trace, so replay shards own no link state at all. Rows span the whole
+    // id space (an untouched row costs one empty index), so a migration is
+    // a row hand-off between stores whatever the partition.
+    if (mode_ == Mode::kOnline)
+      shard.links = ShardLinkStore<DirLink>(static_cast<std::size_t>(num_nodes),
+                                            static_cast<std::size_t>(num_nodes));
 
     std::vector<NodeId> tracked;
     for (NodeId id : config_.tracked_nodes) {
@@ -242,19 +228,9 @@ void ShardedEngine::init_shards(int shards, int num_nodes) {
     }
     shard.collector = std::make_unique<MetricsCollector>(
         make_shard_metrics_config(config_, num_nodes, std::move(tracked)));
-    // The shard's estimation backend instance, covering exactly its owned
-    // node block (full-height under rebalancing, same as the link store —
-    // forced paged so the owner-partitioned matrix rows cost what they
-    // hold, and a row hand-off lands in untouched pages).
-    if (rebalancing_) {
-      est::EstimatorSpec espec = config_.estimator;
-      espec.idms_eager_slot_limit = 0;
-      shard.estimator = est::make_estimator(espec, num_nodes, 0, num_nodes);
-    } else {
-      shard.estimator = est::make_estimator(
-          config_.estimator, num_nodes, shard.first_owned,
-          static_cast<int>(shard.owned.size()));
-    }
+    // The shard's estimation backend instance, fed only its owned nodes'
+    // observations.
+    shard.estimator = est::make_estimator(config_.estimator, num_nodes);
     // Staggered first pings for the shard's nodes, one phase draw per node
     // from its own stream (online mode; replay has no timers).
     if (mode_ == Mode::kOnline) {
@@ -304,7 +280,7 @@ void ShardedEngine::advance_node_dyn(NodeId id, double t) {
 
 ShardedEngine::DirLink& ShardedEngine::link_at(Shard& shard, NodeId src,
                                                NodeId dst, double t) {
-  DirLink& s = shard.links.at(static_cast<std::size_t>(src - shard.first_owned),
+  DirLink& s = shard.links.at(static_cast<std::size_t>(src),
                               static_cast<std::size_t>(dst));
   if (!s.initialized) {
     s.initialized = true;
@@ -874,9 +850,8 @@ void ShardedEngine::pack_departures(Shard& shard, int shard_idx) {
     // Only initialized slots travel: an untouched (src, dst) link re-seeds
     // identically from its derived stream wherever it is first touched.
     if (mode_ == Mode::kOnline)
-      shard.links.extract_row(
-          static_cast<std::size_t>(m.node - shard.first_owned), mig.links,
-          [](const DirLink& l) { return l.initialized; });
+      shard.links.extract_row(static_cast<std::size_t>(m.node), mig.links,
+                              [](const DirLink& l) { return l.initialized; });
     mig.estimator = shard.estimator->extract_node_state(m.node);
     mig.metrics = shard.collector->extract_node_state(m.node);
     shard.queue.extract_node_events(m.node, mig.pending);
@@ -913,8 +888,7 @@ void ShardedEngine::apply_migrations(Shard& shard, int shard_idx) {
   for (NodeMigration& mig : shard.arrivals) {
     staged_bytes += mig.payload_bytes();
     if (mode_ == Mode::kOnline)
-      shard.links.install_row(
-          static_cast<std::size_t>(mig.node - shard.first_owned), mig.links);
+      shard.links.install_row(static_cast<std::size_t>(mig.node), mig.links);
     shard.estimator->install_node_state(mig.node, mig.estimator);
     shard.collector->install_node_state(mig.node, std::move(mig.metrics));
     // The node's not-yet-processed events join this epoch's staging buffer;

@@ -55,9 +55,8 @@
 // The steady-state event loop is allocation-free (DESIGN.md "Event core"):
 // per-shard calendar queues replace binary heaps, delivery batches are
 // k-way merges into buffers reused across epochs, and per-link latency
-// state lives in a directed-link-indexed ShardLinkStore — flat at
-// bench-tier sizes, lazily paged beyond, per-row compact-indexed at
-// 100k-node scale (sim/link_store.hpp).
+// state lives in a per-row sparse ShardLinkStore that holds only the links
+// a run touches (common/link_store.hpp).
 //
 // Protocol semantics are declared per mode: messages cross the network at
 // epoch granularity (a ping sent in epoch k is answered in epoch k+1 and
@@ -76,6 +75,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/link_store.hpp"
 #include "core/nc_client.hpp"
 #include "core/neighbor_set.hpp"
 #include "core/ownership.hpp"
@@ -83,7 +83,6 @@
 #include "latency/link_model.hpp"
 #include "latency/topology.hpp"
 #include "latency/trace.hpp"
-#include "sim/link_store.hpp"
 #include "sim/metrics.hpp"
 #include "sim/online_sim.hpp"
 #include "sim/shard_mailbox.hpp"
@@ -310,12 +309,9 @@ class ShardedEngine {
 
   struct Shard {
     std::vector<NodeId> owned;  // sorted; contiguous block unless rebalancing
-    NodeId first_owned = 0;     // 0 when rebalancing (full-height stores)
     ShardEventQueue queue;
-    /// Directed-link state indexed (src - first_owned, dst). Flat at
-    /// bench-tier sizes, lazily paged beyond, per-row compact-indexed at
-    /// large n (ShardLinkStore picks the layout; all observationally
-    /// identical).
+    /// Directed-link state indexed (src, dst) over the whole node-id space;
+    /// only the owned nodes' rows ever fill (online mode only).
     ShardLinkStore<DirLink> links;
     /// Delivery batch buffer, reused every epoch (collect_into target).
     std::vector<ShardMessage> inbox;

@@ -123,6 +123,19 @@ TEST(FlagsDeathTest, ParseOrExitRejectsPositionalWithUsage) {
               ::testing::ExitedWithCode(2), "usage: prog");
 }
 
+// Values are parsed after parse_or_exit returns; a malformed one must still
+// exit 2 with the usage line instead of escaping as an uncaught throw.
+TEST(FlagsDeathTest, ParseOrExitRejectsMalformedValueWithUsage) {
+  const char* argv[] = {"prog", "--nodes=abc", "--hours=x", "--full=maybe"};
+  const Flags f = Flags::parse_or_exit(4, argv, {"nodes", "hours", "full"});
+  EXPECT_EXIT((void)f.get_int("nodes", 0), ::testing::ExitedWithCode(2),
+              "bad integer for --nodes: abc\nusage: prog");
+  EXPECT_EXIT((void)f.get_double("hours", 0.0), ::testing::ExitedWithCode(2),
+              "usage: prog");
+  EXPECT_EXIT((void)f.get_bool("full", false), ::testing::ExitedWithCode(2),
+              "usage: prog");
+}
+
 TEST(FlagsDeathTest, ParseOrExitAcceptsKnownFlags) {
   const char* argv[] = {"prog", "--nodes=12"};
   const Flags f = Flags::parse_or_exit(2, argv, {"nodes"});

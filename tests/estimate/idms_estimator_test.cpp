@@ -14,7 +14,7 @@ LatencyObservation obs(NodeId src, NodeId dst, double t_s, double rtt,
 }
 
 TEST(IDMSEstimator, FirstSampleFillsTheCell) {
-  IDMSEstimator est({}, 4, 0, 4);
+  IDMSEstimator est({}, 4);
   est.on_observation(obs(0, 1, 1.0, 120.0));
   const auto e = est.estimate_rtt(0, 1, 1.0);
   ASSERT_TRUE(e.has_value());
@@ -25,7 +25,7 @@ TEST(IDMSEstimator, FirstSampleFillsTheCell) {
 }
 
 TEST(IDMSEstimator, RepeatedSamplesSmoothWithEwma) {
-  IDMSEstimator est({.max_age_s = 600.0, .alpha = 0.3}, 4, 0, 4);
+  IDMSEstimator est({.max_age_s = 600.0, .alpha = 0.3}, 4);
   est.on_observation(obs(0, 1, 1.0, 100.0));
   est.on_observation(obs(0, 1, 2.0, 50.0));
   // Bit-exact EWMA reference: alpha * newest + (1 - alpha) * cell.
@@ -40,7 +40,7 @@ TEST(IDMSEstimator, RepeatedSamplesSmoothWithEwma) {
 }
 
 TEST(IDMSEstimator, MatrixIsDirected) {
-  IDMSEstimator est({}, 4, 0, 4);
+  IDMSEstimator est({}, 4);
   est.on_observation(obs(0, 1, 1.0, 100.0));
   est.on_observation(obs(1, 0, 1.0, 200.0));
   EXPECT_EQ(est.estimate_rtt(0, 1, 1.0), 100.0);
@@ -49,7 +49,7 @@ TEST(IDMSEstimator, MatrixIsDirected) {
 }
 
 TEST(IDMSEstimator, StaleCellFallsBackToCoordinates) {
-  IDMSEstimator est({.max_age_s = 10.0}, 4, 0, 4);
+  IDMSEstimator est({.max_age_s = 10.0}, 4);
   const Coordinate a{Vec{30.0, 0.0}};
   const Coordinate b{Vec{0.0, 40.0}};
   est.on_observation(obs(0, 1, 0.0, 120.0, a, b));
@@ -67,7 +67,7 @@ TEST(IDMSEstimator, StaleCellFallsBackToCoordinates) {
 }
 
 TEST(IDMSEstimator, MissesWhenCellAndFallbackBothEmpty) {
-  IDMSEstimator est({}, 4, 0, 4);
+  IDMSEstimator est({}, 4);
   // No observation at all: nothing measured, no coordinates advertised.
   EXPECT_EQ(est.estimate_rtt(2, 3, 1.0), std::nullopt);
   const EstimatorStats s = est.stats();
@@ -76,60 +76,47 @@ TEST(IDMSEstimator, MissesWhenCellAndFallbackBothEmpty) {
 }
 
 TEST(IDMSEstimator, OwnsAShardSlice) {
-  // Rows for nodes [2, 4) of a 4-node deployment, as a shard would own.
-  IDMSEstimator est({}, 4, 2, 2);
+  // A shard owning nodes {2, 3} of a 4-node deployment feeds only their
+  // observations: the matrix holds those rows and nothing else.
+  IDMSEstimator est({}, 4);
+  const std::uint64_t empty_bytes = est.stats().memory_bytes;
   est.on_observation(obs(2, 0, 1.0, 80.0));
   est.on_observation(obs(3, 1, 1.0, 90.0));
   EXPECT_EQ(est.estimate_rtt(2, 0, 1.0), 80.0);
   EXPECT_EQ(est.estimate_rtt(3, 1, 1.0), 90.0);
   EXPECT_EQ(est.stats().entries, 2u);
+  EXPECT_GT(est.stats().memory_bytes, empty_bytes);
 }
 
 TEST(IDMSEstimator, RejectsBadConfig) {
-  EXPECT_THROW(IDMSEstimator({.max_age_s = 0.0}, 4, 0, 4), CheckError);
-  EXPECT_THROW(IDMSEstimator({.max_age_s = 1.0, .alpha = 0.0}, 4, 0, 4),
+  EXPECT_THROW(IDMSEstimator({.max_age_s = 0.0}, 4), CheckError);
+  EXPECT_THROW(IDMSEstimator({.max_age_s = 1.0, .alpha = 0.0}, 4),
                CheckError);
-  EXPECT_THROW(IDMSEstimator({.max_age_s = 1.0, .alpha = 1.5}, 4, 0, 4),
+  EXPECT_THROW(IDMSEstimator({.max_age_s = 1.0, .alpha = 1.5}, 4),
                CheckError);
-  EXPECT_THROW(IDMSEstimator({}, 4, 2, 3), CheckError);  // slice past the end
+  EXPECT_THROW(IDMSEstimator({}, -1), CheckError);
 }
 
-// Shrinking the eager slot limit forces the matrix into paged mode; answers
-// must not change, and queries for never-measured pairs must not allocate
-// pages (the memory footprint stays flat under a miss storm).
-TEST(IDMSEstimator, PagedModeMatchesEagerModeAndQueriesDoNotAllocate) {
-  const int n = 512;  // 512 * 512 cells: a few dozen matrix pages
-  IDMSEstimatorConfig paged_cfg;
-  paged_cfg.eager_slot_limit = 1;  // everything beyond one slot is paged
-  IDMSEstimator paged(paged_cfg, n, 0, n);
-  IDMSEstimator eager({}, n, 0, n);
-
+// The matrix holds measured cells only: queries for never-measured pairs go
+// through try_at, so a miss storm across every row allocates nothing.
+TEST(IDMSEstimator, QueriesOnUnmeasuredPairsDoNotAllocate) {
+  const int n = 512;
+  IDMSEstimator est({}, n);
   // All observers in the first 8 rows: the measured cells concentrate in
-  // one corner of the matrix, the regime paging exists for.
+  // one corner of the matrix.
   for (int i = 0; i < 400; ++i) {
     const auto src = static_cast<NodeId>(i % 8);
     const auto dst = static_cast<NodeId>((i * 13 + 9) % n);
     if (src == dst) continue;
-    const double rtt = 20.0 + static_cast<double>(i % 50);
-    paged.on_observation(obs(src, dst, static_cast<double>(i), rtt));
-    eager.on_observation(obs(src, dst, static_cast<double>(i), rtt));
+    est.on_observation(obs(src, dst, static_cast<double>(i),
+                           20.0 + static_cast<double>(i % 50)));
   }
-  for (NodeId a = 0; a < 16; ++a)
-    for (NodeId b = 0; b < n; ++b)
-      ASSERT_EQ(paged.estimate_rtt(a, b, 500.0), eager.estimate_rtt(a, b, 500.0))
-          << "pair (" << a << ", " << b << ")";
-  EXPECT_EQ(paged.stats().entries, eager.stats().entries);
-
-  // Only the touched corner is resident in paged mode; eager mode paid for
-  // the whole matrix upfront.
-  EXPECT_LT(paged.stats().memory_bytes, eager.stats().memory_bytes);
-
-  // A miss storm across every row must not materialize pages: queries go
-  // through try_at, so the footprint stays flat.
-  const std::uint64_t before = paged.stats().memory_bytes;
+  const EstimatorStats before = est.stats();
   for (NodeId a = 0; a < n; ++a)
-    (void)paged.estimate_rtt(a, (a + 1) % n, 500.0);
-  EXPECT_EQ(paged.stats().memory_bytes, before);
+    (void)est.estimate_rtt(a, (a + 1) % n, 500.0);
+  const EstimatorStats after = est.stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.memory_bytes, before.memory_bytes);
 }
 
 }  // namespace

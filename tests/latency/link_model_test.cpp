@@ -23,8 +23,8 @@ TEST(LatencyNetwork, RejectsSelfPing) {
   EXPECT_THROW((void)net.sample_rtt(1, 1, 0.0), CheckError);
 }
 
-// The dense link array has no inert slot for bad endpoints (the sparse map
-// it replaced silently tolerated them): every entry point must reject them.
+// A bad endpoint would index past the link store's rows or columns (and a
+// self-link has no undirected row): every entry point must reject them.
 TEST(LatencyNetwork, RejectsBadLinkEndpoints) {
   auto net = make_network(10);
   EXPECT_THROW((void)net.ground_truth_rtt(3, 3, 0.0), CheckError);
@@ -39,30 +39,6 @@ TEST(LatencyNetwork, DeterministicBySeed) {
   for (int i = 0; i < 200; ++i) {
     const double t = i * 0.5;
     ASSERT_EQ(a.sample_rtt(0, 1, t), b.sample_rtt(0, 1, t));
-  }
-}
-
-// Paged link storage (the 10k-node fallback behind the triangular index)
-// must produce the exact sample stream of the flat default, including
-// scheduled route changes landing on lazily-paged slots.
-TEST(LatencyNetwork, PagedLinkStateMatchesEagerExactly) {
-  TopologyConfig tc;
-  tc.num_nodes = 12;
-  tc.seed = 91;
-  const AvailabilityConfig av{.enabled = false};
-  LatencyNetwork eager(Topology::make(tc), LinkModelConfig{}, av, 91);
-  LatencyNetwork paged(Topology::make(tc), LinkModelConfig{}, av, 91,
-                       /*eager_slot_limit=*/0);
-  eager.schedule_route_change(2, 7, 2.5, 40.0);
-  paged.schedule_route_change(2, 7, 2.5, 40.0);
-  for (int i = 0; i < 300; ++i) {
-    const double t = i * 0.5;
-    const NodeId src = static_cast<NodeId>(i % 12);
-    const NodeId dst = static_cast<NodeId>((i * 7 + 1) % 12);
-    if (src == dst) continue;
-    ASSERT_EQ(eager.sample_rtt(src, dst, t), paged.sample_rtt(src, dst, t));
-    ASSERT_EQ(eager.ground_truth_rtt(src, dst, t),
-              paged.ground_truth_rtt(src, dst, t));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -58,6 +59,30 @@ TEST(TraceIo, RejectsGarbageFile) {
     f << "this is not a trace";
   }
   EXPECT_THROW(TraceReader{path}, CheckError);
+}
+
+// A body cut short of the header's record count (a damaged partition
+// slice) must fail loudly, naming both counts, not end the replay early.
+TEST(TraceIo, TruncatedBodyRejectedNamingBothCounts) {
+  const std::string path = temp_path("truncated.nctr");
+  {
+    TraceWriter w(path, 4);
+    for (int i = 0; i < 5; ++i)
+      w.append({static_cast<double>(i), 0, 1, 10.0f});
+  }
+  // Cut the last 20-byte record in half.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
+  TraceReader r(path);
+  EXPECT_EQ(r.record_count(), 5u);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(r.next().has_value());
+  try {
+    (void)r.next();
+    FAIL() << "a truncated body must not end the stream cleanly";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("declares 5 records"), std::string::npos) << what;
+    EXPECT_NE(what.find("ends after 4"), std::string::npos) << what;
+  }
 }
 
 TEST(TraceIo, RejectsMissingFile) {

@@ -109,8 +109,7 @@ TEST(Rebalance, OnlineBitIdenticalAcrossShardCountsWithMigration) {
 }
 
 // On vs. off at the same shard count: the partition's physical placement
-// (and the full-height store layout rebalancing forces) must never leak
-// into results.
+// (which store holds each node's link row) must never leak into results.
 TEST(Rebalance, OnVsOffBitIdenticalAtSameShardCount) {
   const EngineRun off = run_online(3, 0);
   const EngineRun on = run_online(3, 2);
