@@ -11,17 +11,15 @@
 //   --jobs=N         worker threads for independent experiment points
 //   --shards=N       worker shards WITHIN one run (replay and online alike;
 //                    0 and 1 both mean one shard — every run goes through
-//                    the epoch-sharded kernel)
+//                    the epoch-sharded kernel; a replay at N > 1 reads one
+//                    trace slice per shard unless it collects oracle
+//                    metrics)
 //   --route-schedule=NAME  named route-change schedule composed into the
 //                    workload (none, single-link, regional-shift,
 //                    backbone-flap)
 //   --backend=NAME   estimator backend preset answering RTT queries
 //                    (coordinates, idms, idms-volatile, idms-sticky,
 //                    snapshot)
-//   --partition-trace  replay mode, shards > 1: split the trace by owner
-//                    shard on open and replay one slice per reader
-//                    (bit-identical; default ON — pass --partition-trace=0
-//                    to funnel every record through shard 0's reader)
 //   --rebalance=K    dynamic shard ownership: re-plan the node partition
 //                    every K epochs (0 = static block partition, default)
 //   --rebalance-moves=M  max nodes migrated per rebalance barrier
@@ -50,9 +48,9 @@ namespace ncb {
 inline nc::Flags parse_flags(int argc, const char* const* argv,
                              std::initializer_list<const char*> extra = {}) {
   std::vector<std::string> allowed = {
-      "scenario", "nodes",           "hours",     "seed",
-      "jobs",     "shards",          "backend",   "route-schedule",
-      "full",     "partition-trace", "rebalance", "rebalance-moves"};
+      "scenario", "nodes",     "hours",           "seed",
+      "jobs",     "shards",    "backend",         "route-schedule",
+      "full",     "rebalance", "rebalance-moves"};
   allowed.insert(allowed.end(), extra.begin(), extra.end());
   return nc::Flags::parse_or_exit(argc, argv, allowed);
 }
@@ -114,7 +112,6 @@ inline nc::eval::ScenarioSpec scenario_spec(const nc::Flags& flags,
     std::exit(2);
   }
   nc::eval::apply_backend(spec, backend);
-  spec.partition_replay = flags.get_bool("partition-trace", true);
   spec.rebalance_interval_epochs =
       static_cast<int>(flags.get_int("rebalance", 0));
   spec.rebalance_max_moves = static_cast<int>(

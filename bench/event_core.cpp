@@ -6,15 +6,12 @@
 // run — online and replay — onto that one kernel and slab-allocated
 // NCClient's per-link filter state. This bench is the kernel's scorecard.
 // For each n in --sizes (default 256, 1k, 4k) it runs the same named
-// scenario through
-//   * the OnlineSimulator facade (the retired serial engine's entry point,
-//     now the shards=1 kernel — kept as a row so bench_diff.py tracks the
-//     facade against the historical serial-engine records),
-//   * the sharded engine in ONLINE mode at --shards = 1, 2, 4, ... (powers
-//     of two up to --max-shards), and
-//   * the sharded engine in REPLAY mode over a generated trace at the same
-//     shard counts (wall time includes the serial trace generation, which
-//     bounds replay scaling per Amdahl),
+// scenario through ShardedEngine, the one engine, in
+//   * ONLINE mode at --shards = 1, 2, 4, ... (powers of two up to
+//     --max-shards), and
+//   * REPLAY mode over a generated trace at the same shard counts (wall
+//     time includes the serial trace generation, which bounds replay
+//     scaling per Amdahl),
 // reports events/sec, and cross-checks that every shard count produced
 // bit-identical metrics (the kernel's core guarantee; the run aborts loudly
 // if not). Each row is also printed as a JSON object for BENCH_pr5.json-
@@ -22,8 +19,7 @@
 //
 // Flags: --scenario (planetlab), --nodes (0 = the full 256/1k/4k suite,
 //        otherwise one size), --hours (1), --seed (7), --max-shards (4),
-//        --serial (1: include the facade row), --replay (1: include replay
-//        rows).
+//        --replay (1: include replay rows).
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -31,8 +27,6 @@
 
 #include "bench_common.hpp"
 #include "latency/trace_generator.hpp"
-#include "sim/online_sim.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace {
@@ -68,13 +62,12 @@ void print_row(const char* engine, int nodes, int shards, double wall,
 
 int main(int argc, char** argv) {
   const nc::Flags flags = ncb::parse_flags_exact(
-      argc, argv, {"scenario", "nodes", "hours", "seed", "max-shards", "serial",
-                   "replay", "full"});
+      argc, argv,
+      {"scenario", "nodes", "hours", "seed", "max-shards", "replay", "full"});
   nc::eval::ScenarioSpec base = ncb::scenario_spec(
       flags, {.nodes = 0, .hours = 1.0, .full_nodes = 0, .full_hours = 1.0,
               .seed = 7, .mode = nc::eval::SimMode::kOnline});
   const int max_shards = static_cast<int>(flags.get_int("max-shards", 4));
-  const bool run_serial = flags.get_int("serial", 1) != 0;
   const bool run_replay = flags.get_int("replay", 1) != 0;
 
   std::vector<int> sizes;
@@ -97,24 +90,6 @@ int main(int argc, char** argv) {
   for (const int n : sizes) {
     nc::eval::ScenarioSpec spec = base;
     spec.workload.num_nodes = n;
-
-    if (run_serial) {
-      // The OnlineSimulator facade: the classic constructor shape over the
-      // shards=1 kernel. Wall time covers construction + run, so setup
-      // cost shows in the number.
-      const auto t0 = std::chrono::steady_clock::now();
-      nc::lat::LatencyNetwork network(
-          nc::lat::Topology::make(
-              nc::eval::resolve_topology_config(spec.workload)),
-          spec.workload.link_model.value_or(nc::lat::LinkModelConfig{}),
-          spec.workload.availability.value_or(nc::lat::AvailabilityConfig{}),
-          spec.workload.seed);
-      nc::sim::OnlineSimulator sim(nc::eval::resolve_online_config(spec),
-                                   network);
-      sim.run();
-      print_row("serial", n, 0, wall_seconds_since(t0), sim.events_processed(),
-                sim.metrics().median_relative_error(), sim.memory_budget());
-    }
 
     double ref_err = 0.0, ref_inst = 0.0;
     std::uint64_t ref_obs = 0;
@@ -164,21 +139,21 @@ int main(int argc, char** argv) {
         const auto t0 = std::chrono::steady_clock::now();
         nc::lat::TraceGenerator gen(
             nc::eval::resolve_trace_config(rspec.workload));
-        nc::sim::ReplayDriver driver(rc, gen.num_nodes());
-        driver.run(gen);
+        nc::sim::ShardedEngine engine(rc, gen.num_nodes());
+        engine.run(gen);
         const double wall = wall_seconds_since(t0);
 
-        const double err = driver.metrics().median_relative_error();
+        const double err = engine.metrics().median_relative_error();
         if (w == 1) {
           rref_err = err;
-          rref_obs = driver.metrics().observation_count();
+          rref_obs = engine.metrics().observation_count();
         } else {
           NC_CHECK_MSG(err == rref_err &&
-                           driver.metrics().observation_count() == rref_obs,
+                           engine.metrics().observation_count() == rref_obs,
                        "replay run diverged from shards=1 (determinism bug)");
         }
-        print_row("replay", n, w, wall, driver.events_processed(), err,
-                  driver.memory_budget());
+        print_row("replay", n, w, wall, engine.events_processed(), err,
+                  engine.memory_budget());
       }
     }
   }

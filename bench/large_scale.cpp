@@ -32,7 +32,6 @@
 #include "bench_common.hpp"
 #include "latency/trace.hpp"
 #include "latency/trace_generator.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace {
@@ -163,25 +162,25 @@ int main(int argc, char** argv) {
         slices.push_back(std::make_unique<nc::lat::TraceReader>(p));
         sources.push_back(slices.back().get());
       }
-      nc::sim::ReplayDriver driver(rc, n);
-      driver.run_partitioned(sources);
+      nc::sim::ShardedEngine engine(rc, n);
+      engine.run_partitioned(sources);
       print_row("replay-large", n, shards, wall_seconds_since(t0),
-                driver.events_processed(),
-                driver.metrics().median_relative_error(),
-                driver.memory_budget());
+                engine.events_processed(),
+                engine.metrics().median_relative_error(),
+                engine.memory_budget());
 
       if (selfcheck) {
         // The partitioned ingest must be bit-identical to the single-reader
         // path on the unsplit trace — the run aborts loudly if not.
         nc::lat::TraceReader whole_reader(whole);
-        nc::sim::ReplayDriver ref(rc, n);
+        nc::sim::ShardedEngine ref(rc, n);
         ref.run(whole_reader);
         NC_CHECK_MSG(
             ref.metrics().median_relative_error() ==
-                    driver.metrics().median_relative_error() &&
+                    engine.metrics().median_relative_error() &&
                 ref.metrics().observation_count() ==
-                    driver.metrics().observation_count() &&
-                ref.events_processed() == driver.events_processed(),
+                    engine.metrics().observation_count() &&
+                ref.events_processed() == engine.events_processed(),
             "partitioned replay diverged from the single reader "
             "(determinism bug)");
         std::printf("  selfcheck: partitioned == single-reader (err, obs, "

@@ -7,7 +7,8 @@
 // `--clients` threads at `--rate` aggregate qps, measuring each query from
 // its SCHEDULED arrival (serve/load_generator.hpp — no coordinated
 // omission). Each row reports achieved throughput plus p50/p95/p99/p999/max
-// microseconds for the BENCH record's "serving" section;
+// microseconds of the ANSWERED queries (empty answers are counted in the
+// row's "empty" field, not timed) for the BENCH record's "serving" section;
 // scripts/bench_diff.py gates p99 and qps across PRs.
 //
 // ISSUE 10 adds --snapshot-deltas: churn-proportional publication (full base

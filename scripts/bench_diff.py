@@ -10,8 +10,9 @@ Two kinds of entries are compared, matched by name across the files:
   * engine kernel rates (the "event_core" and — since PR 7 —
     "large_scale" sections, or PR 3's "shard_scaling" section, whose rows
     are normalized to the same keys): events_per_s, higher is better. Rows
-    are keyed by (engine, nodes, shards), so the serial facade, sharded
-    online, sharded replay and large-scale rows are tracked independently;
+    are keyed by (engine, nodes, shards), so the sharded online, sharded
+    replay and large-scale rows are tracked independently (older records'
+    "serial" rows now match nothing and report as only-in-one-file);
   * engine memory footprints (the same sections' mem_bytes key): bytes at
     end of run, lower is better. A row that silently balloons past the
     threshold fails CI even if its events/s held up — the large-scale tier

@@ -11,7 +11,6 @@
 
 #include "common/check.hpp"
 #include "latency/trace.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace nc::eval {
@@ -60,14 +59,13 @@ ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
   rc.rebalance_interval_epochs = spec.rebalance_interval_epochs;
   rc.rebalance_max_moves = spec.rebalance_max_moves;
 
-  sim::ReplayDriver driver(rc, gen.num_nodes());
-  // Partitioned replay is the default at shards > 1, EXCEPT under
+  sim::ShardedEngine engine(rc, gen.num_nodes());
+  // Every replay at shards > 1 reads partitioned, EXCEPT under
   // collect_oracle: oracle sampling hits the generating network, which is
-  // not safe from concurrent readers — those runs silently keep the
-  // single-reader path (the results are bit-identical either way, so the
-  // fallback is an engine choice, not a semantic one).
-  if (spec.partition_replay && rc.shards > 1 &&
-      !spec.measurement.collect_oracle) {
+  // not safe from concurrent readers, so those runs keep the single-reader
+  // path (the results are bit-identical either way, so the choice is an
+  // engine one, not a semantic one).
+  if (rc.shards > 1 && !spec.measurement.collect_oracle) {
     // Partition-on-open: split the generated trace into per-shard slice
     // files, then let every worker shard read its own slice
     // (run_partitioned) instead of funneling all records through one
@@ -83,18 +81,18 @@ ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
       readers.push_back(std::make_unique<lat::TraceReader>(path));
       sources.push_back(readers.back().get());
     }
-    driver.run_partitioned(sources);
+    engine.run_partitioned(sources);
   } else {
-    driver.run(gen, spec.measurement.collect_oracle ? &gen.network() : nullptr);
+    engine.run(gen, spec.measurement.collect_oracle ? &gen.network() : nullptr);
   }
 
   std::uint64_t absorbed = 0;
-  for (NodeId id = 0; id < driver.num_nodes(); ++id)
-    absorbed += driver.client(id).absorbed_sample_count();
-  ScenarioOutput out{std::move(driver.metrics()), gen.produced(),
+  for (NodeId id = 0; id < engine.num_nodes(); ++id)
+    absorbed += engine.client(id).absorbed_sample_count();
+  ScenarioOutput out{std::move(engine.metrics()), gen.produced(),
                      gen.attempts(), absorbed, 0, 0, {}, {}};
   out.estimator_stats = out.metrics.estimator_stats();
-  out.memory = driver.memory_budget();
+  out.memory = engine.memory_budget();
   return out;
 }
 

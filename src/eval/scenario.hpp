@@ -10,8 +10,12 @@
 // plus a SimMode selecting how observations arise: kReplay feeds a
 // generated trace through the epoch-sharded kernel (the paper's simulator
 // methodology, Sec. IV-A), kOnline runs the event-driven deployment
-// protocol on the same kernel (Sec. VI). Both modes shard one run across
-// `shards` worker threads with bit-identical results at any count. Named
+// protocol on the same kernel (Sec. VI). Both modes construct one
+// sim::ShardedEngine and shard the run across `shards` worker threads with
+// bit-identical results at any count. A replay at shards > 1 splits the
+// generated trace by owner shard and gives every shard its own reader,
+// unless oracle metrics are asked for: the generating network they sample
+// is not safe for concurrent readers, so those runs keep one reader. Named
 // workload presets — planetlab, intercontinental, churn, flash-crowd,
 // drift-heavy, lan-cluster — live in eval/registry.hpp; the parallel
 // multi-spec runner lives in eval/grid.hpp.
@@ -35,7 +39,6 @@
 #include "latency/link_model.hpp"
 #include "latency/trace_generator.hpp"
 #include "sim/metrics.hpp"
-#include "sim/online_sim.hpp"
 #include "sim/sharded_route_change.hpp"
 #include "sim/sharded_sim.hpp"
 
@@ -83,8 +86,7 @@ struct ScenarioSpec {
   /// Worker shards of the epoch-sharded kernel, for BOTH modes — one run
   /// spread across cores, bit-identical for any shard count (see
   /// sim/sharded_sim.hpp). 0 and 1 both mean one worker shard: the kernel
-  /// is the only engine (the serial simulators were retired in PR 5; their
-  /// facades run the same kernel).
+  /// is the only engine.
   int shards = 0;
 
   WorkloadSpec workload;
@@ -94,18 +96,6 @@ struct ScenarioSpec {
   /// metrics (registry backend presets: coordinates, idms, idms-volatile,
   /// idms-sticky, snapshot — see apply_backend).
   est::EstimatorSpec estimator;
-
-  /// Replay mode with shards > 1: materialize the generated trace to disk,
-  /// split it by owner shard (lat::partition_trace) and replay one slice
-  /// per reading shard (ShardedEngine::run_partitioned) instead of funneling
-  /// every record through shard 0's serial reader. Bit-identical to the
-  /// single-reader path; costs one extra trace pass + temp-file space. ON by
-  /// default since PR 9 — multi-core replay profiles showed the serial
-  /// reader stall. Falls back to the single reader when
-  /// measurement.collect_oracle is set (the generating network is not safe
-  /// to sample from concurrent readers). Ignored in online mode and at one
-  /// shard. Bench flag: --partition-trace=0 opts out.
-  bool partition_replay = true;
 
   /// Dynamic shard ownership (sim/sharded_sim.hpp): rebalance the node
   /// partition every k epochs from per-node event weights, migrating at

@@ -206,7 +206,6 @@ void LatencyNetwork::schedule_route_change(NodeId i, NodeId j, double factor,
   }
   NC_CHECK_MSG(s.last_t <= at_t, "link already advanced past at_t");
   s.dyn.route_changes_frozen = true;
-  if (s.dyn.scheduled.empty()) ++scheduled_links_;
   s.dyn.scheduled.emplace_back(at_t, factor);
   std::sort(s.dyn.scheduled.begin(), s.dyn.scheduled.end());
 }

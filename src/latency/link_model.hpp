@@ -17,8 +17,10 @@
 //
 // All stochastic state is derived deterministically from the master seed, so
 // a (topology, config, seed) triple defines one reproducible network.
-// Time must be non-decreasing per link/node (the generators and simulators
-// naturally sample in time order).
+// Time must be non-decreasing per link/node (the trace generator and the
+// replay oracle it backs naturally sample in time order). The sharded
+// engine's online mode does not share this object: it runs the same
+// LinkDynamics / NodeDynamics state machines on its own per-shard state.
 #pragma once
 
 #include <cstdint>
@@ -79,10 +81,10 @@ struct AvailabilityConfig;
 
 /// The stochastic processes of one link (route factor + delay bursts),
 /// shared by LatencyNetwork's undirected links and the sharded engine's
-/// directed links so the two engines can never drift apart. The draw ORDER
-/// on `rng` (init: route change then burst; advance: random route changes,
-/// scheduled steps, bursts) is part of every seed's defined trace — never
-/// reorder it.
+/// directed links so trace generation and online runs can never drift
+/// apart. The draw ORDER on `rng` (init: route change then burst; advance:
+/// random route changes, scheduled steps, bursts) is part of every seed's
+/// defined trace — never reorder it.
 struct LinkDynamics {
   double route_factor = 1.0;
   double next_route_change_t = 0.0;
@@ -98,9 +100,9 @@ struct LinkDynamics {
 };
 
 /// One node's availability (up/down churn) and overload-burst processes,
-/// shared by both engines. Same draw-order contract as LinkDynamics
-/// (init: initial up, first toggle, first burst; advance: toggles then
-/// bursts).
+/// shared by LatencyNetwork and the sharded engine. Same draw-order
+/// contract as LinkDynamics (init: initial up, first toggle, first burst;
+/// advance: toggles then bursts).
 struct NodeDynamics {
   bool up = true;
   double next_toggle_t = 0.0;
@@ -149,14 +151,6 @@ class LatencyNetwork {
   [[nodiscard]] const AvailabilityConfig& availability() const noexcept {
     return availability_;
   }
-  /// Links that received a controlled route-change schedule. The
-  /// OnlineSimulator facade uses this to reject a network whose schedule it
-  /// cannot honor (the kernel takes schedules as explicit constructor
-  /// arguments, not from borrowed network state).
-  [[nodiscard]] std::size_t scheduled_route_change_count() const noexcept {
-    return scheduled_links_;
-  }
-
   /// One application-level ping i -> j at time t. nullopt: the ping was lost
   /// or the target is down. Does not check whether i itself is up — a down
   /// node simply should not call (see node_up()).
@@ -212,7 +206,6 @@ class LatencyNetwork {
   ShardLinkStore<LinkState> links_;
   std::vector<NodeState> nodes_;
   std::vector<bool> node_init_;
-  std::size_t scheduled_links_ = 0;
   std::uint64_t samples_ = 0;
   std::uint64_t losses_ = 0;
 };

@@ -76,15 +76,21 @@ void client_loop(const est::SnapshotPublisher& source, int num_nodes,
       got_answer = service.distance_ms(a, b).has_value();
     }
 
+    // Only answers enter the histogram: an empty answer (no snapshot yet,
+    // or an operand not placed) serves nothing, and mixing those in would
+    // make the tails describe the pre-publish window. issued - answered
+    // counts them.
     const auto done = Clock::now();
-    const auto scheduled_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(done - next);
-    result.latency.record(
-        scheduled_ns.count() > 0
-            ? static_cast<std::uint64_t>(scheduled_ns.count())
-            : 0);
     ++result.issued;
-    if (got_answer) ++result.answered;
+    if (got_answer) {
+      ++result.answered;
+      const auto scheduled_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(done - next);
+      result.latency.record(
+          scheduled_ns.count() > 0
+              ? static_cast<std::uint64_t>(scheduled_ns.count())
+              : 0);
+    }
 
     offset_s += rng.exponential(per_thread_qps);
   }

@@ -17,7 +17,9 @@
 //
 // Each thread owns its CoordinateService instance and LatencyRecorder
 // (coordinate_service.hpp's thread contract); the run merges them into one
-// LoadReport after join. Engine-concurrency comes from the caller: start
+// LoadReport after join. The recorder holds answered queries only, so its
+// percentiles are serving tails even when part of the load window ran
+// before the first publish. Engine-concurrency comes from the caller: start
 // the engine on its own thread with publish_snapshots on, then call
 // run_open_loop against its publisher (bench/serving.cpp does exactly
 // this).
@@ -53,7 +55,9 @@ struct LoadConfig {
 };
 
 struct LoadReport {
-  LatencyRecorder latency;       // per-query, from scheduled arrival
+  /// Answered queries only, each from its scheduled arrival; the
+  /// issued - answered empty answers stay out of the tails.
+  LatencyRecorder latency;
   ServiceStats service;          // merged per-thread service counters
   std::uint64_t issued = 0;      // queries fired
   std::uint64_t answered = 0;    // non-empty answers

@@ -1,9 +1,10 @@
 // Bucketed calendar queue: the allocation-free priority queue of the
 // simulation kernel (R. Brown, CACM 1988).
 //
-// Both simulation engines pop events in nondecreasing time with an explicit
-// total-order tie-break, and nearly all of their traffic is periodic (one
-// ping timer per node per interval, deliveries clamped to epoch starts).
+// Its one client, the per-shard ShardEventQueue (shard_mailbox.hpp), pops
+// events in nondecreasing time with an explicit total-order tie-break, and
+// nearly all of the engine's traffic is periodic (one ping timer per node
+// per interval, deliveries clamped to epoch starts).
 // That access pattern is the textbook case where a calendar beats a binary
 // heap: an insert lands in the one bucket covering its "day" (a width_-sized
 // slice of simulated time) and a pop reads the current day's bucket head —
@@ -20,11 +21,11 @@
 //    events are a prefix [0, head) compacted lazily. Pop order is therefore
 //    exactly the global Ops::less order — bit-identical to what a binary
 //    heap over the same comparator produces, which is the contract the
-//    engines' determinism tests pin.
+//    engine's determinism tests pin.
 //  * cur_day_ is a lower bound on the earliest unconsumed day. Pops advance
 //    it; an insert below it (legal: epoch-clamped deliveries restart the
 //    cursor at an epoch boundary) lowers it. Callers must never insert an
-//    event that sorts before one already popped (the engines schedule only
+//    event that sorts before one already popped (the engine schedules only
 //    at or after the current event time, which guarantees it).
 //  * Steady state allocates nothing: buckets and the resize scratch keep
 //    their capacity across years, and the bucket count rescales (with a

@@ -81,13 +81,7 @@ double MetricsCollector::on_observation(double t, NodeId src, NodeId dst,
   // Application-level relative error for this observation.
   const double predicted = predicted_rtt_ms;
   const double err = std::fabs(predicted - raw_rtt_ms) / raw_rtt_ms;
-  if (eval) {
-    node_errors_[s].push_back(err);
-    if (config_.inline_dst_errors) {
-      dst_median_[d].add(err);
-      ++dst_count_[d];
-    }
-  }
+  if (eval) node_errors_[s].push_back(err);
   if (ts_errors_) ts_errors_->add(t, err);
 
   if (config_.collect_oracle && oracle_rtt_ms.has_value() && eval) {
@@ -127,8 +121,6 @@ double MetricsCollector::on_observation(double t, NodeId src, NodeId dst,
 }
 
 void MetricsCollector::record_dst_error(double t, NodeId dst, double err) {
-  NC_CHECK_MSG(!config_.inline_dst_errors,
-               "record_dst_error requires inline_dst_errors=false");
   if (!in_eval_window(t)) return;
   const auto d = static_cast<std::size_t>(dst);
   NC_CHECK_MSG(d < dst_median_.size(), "dst out of range");
@@ -214,8 +206,7 @@ void MetricsCollector::merge(MetricsCollector& other) {
                    config_.collect_timeseries == oc.collect_timeseries &&
                    config_.timeseries_bucket_s == oc.timeseries_bucket_s &&
                    config_.collect_oracle == oc.collect_oracle &&
-                   config_.min_node_samples == oc.min_node_samples &&
-                   config_.inline_dst_errors == oc.inline_dst_errors,
+                   config_.min_node_samples == oc.min_node_samples,
                "cannot merge collectors with different configurations");
   finalize();
   other.finalize();

@@ -1,4 +1,4 @@
-// Metrics collection shared by the trace-replay and online simulators.
+// Metrics collection for the engine's trace-replay and online modes.
 //
 // Implements the paper's two figures of merit (Sec. II-A) plus the
 // application-update rate of Sec. V-D:
@@ -30,9 +30,11 @@
 // with merge(). Cross-node per-second movement sums are accumulated in
 // fixed-point ticks (2^-20 ms) so that addition is associative and the
 // merged totals are bit-identical for any shard count; everything else is
-// keyed by node and merged disjointly. Call finalize() at end of run (both
-// simulators do) to flush each node's in-flight second into the per-node
-// movement distributions.
+// keyed by node and merged disjointly. Call finalize() at end of run (the
+// engine does, in both modes) to flush each node's in-flight second into
+// the per-node movement distributions. Per-destination medians are fed
+// only through record_dst_error(), by the collector that owns the
+// destination.
 #pragma once
 
 #include <cmath>
@@ -65,13 +67,6 @@ struct MetricsConfig {
 
   /// Per-node error distributions need at least this many samples to count.
   int min_node_samples = 8;
-
-  /// When false, on_observation() skips the per-destination error accounting
-  /// and the caller feeds it through record_dst_error() instead. The sharded
-  /// simulator uses this to route each destination's error stream to the
-  /// shard that owns the destination, keeping the streaming median's input
-  /// order canonical for any shard count.
-  bool inline_dst_errors = true;
 };
 
 struct DriftPoint {
@@ -103,9 +98,9 @@ class MetricsCollector {
   /// Records one observation: `src` observed `dst` with raw RTT `raw_rtt_ms`
   /// and the active estimation backend predicted `predicted_rtt_ms` for the
   /// pair; `outcome` is what the observation did to `src`. Returns the
-  /// application-level relative error of the observation (callers that defer
-  /// destination accounting feed it to the destination owner's
-  /// record_dst_error()).
+  /// application-level relative error of the observation. Per-destination
+  /// accounting is the caller's: feed the returned error to the destination
+  /// owner's record_dst_error().
   double on_observation(double t, NodeId src, NodeId dst, double raw_rtt_ms,
                         double predicted_rtt_ms,
                         const ObservationOutcome& outcome,
@@ -126,8 +121,10 @@ class MetricsCollector {
   void track_coordinate(double t, NodeId node, const Coordinate& coord);
 
   /// Per-destination error accounting for one observation aimed at `dst`
-  /// (same eval-window gating as on_observation). Only valid when the
-  /// config disabled inline_dst_errors — the two paths never mix.
+  /// (same eval-window gating as on_observation) — the only path into the
+  /// per-destination medians. The sharded engine routes each destination's
+  /// error stream to the shard that owns the destination, keeping the
+  /// streaming median's input order canonical for any shard count.
   void record_dst_error(double t, NodeId dst, double err);
 
   /// Flushes every node's in-flight second into the per-node movement

@@ -40,9 +40,6 @@ MetricsConfig make_shard_metrics_config(const OnlineSimConfig& config,
   m.timeseries_bucket_s = config.timeseries_bucket_s;
   m.collect_oracle = config.collect_oracle;
   m.tracked_nodes = std::move(tracked_subset);
-  // Destination error streams are routed to the destination's owner shard
-  // so each stream keeps one canonical input order at any shard count.
-  m.inline_dst_errors = false;
   return m;
 }
 
@@ -125,13 +122,40 @@ ShardedEngine::ShardedEngine(const OnlineSimConfig& config, int shards,
   }
   for (auto& [key, steps] : route_changes_) std::sort(steps.begin(), steps.end());
 
-  // One shared builder with the facade: same validations, same per-node
-  // streams, same bootstrap membership (identical at any shard count —
-  // every draw comes from a node's own stream).
-  OnlineNodeRuntime rt = make_online_node_runtime(config, n);
-  clients_ = std::move(rt.clients);
-  neighbors_ = std::move(rt.neighbors);
-  timer_rngs_ = std::move(rt.timer_rngs);
+  NC_CHECK_MSG(config.bootstrap_degree >= 1, "need at least one bootstrap peer");
+  NC_CHECK_MSG(config.bootstrap_degree < n,
+               "bootstrap_degree must leave at least one non-peer "
+               "(fewer distinct peers than requested exist)");
+  NC_CHECK_MSG(config.ping_interval_s > 0.0, "ping interval must be positive");
+  NC_CHECK_MSG(config.tracked_nodes.empty() || config.track_interval_s > 0.0,
+               "tracking requires a positive track interval");
+
+  // Per-node clients, neighbor sets and ping-timer streams, all derived
+  // from config.seed: identical at any shard count, because every draw
+  // comes from a node's own stream.
+  clients_.reserve(static_cast<std::size_t>(n));
+  neighbors_.reserve(static_cast<std::size_t>(n));
+  timer_rngs_.reserve(static_cast<std::size_t>(n));
+  for (NodeId id = 0; id < n; ++id) {
+    clients_.push_back(std::make_unique<NCClient>(id, config.client));
+    neighbors_.emplace_back(
+        config.neighbor_capacity,
+        hash_combine(config.seed, static_cast<std::uint64_t>(id)));
+    timer_rngs_.push_back(Rng::derived(config.seed, rngstream::kPingTimer,
+                                       static_cast<std::uint64_t>(id)));
+  }
+  // Bootstrap membership: every node knows `bootstrap_degree` DISTINCT
+  // random peers, drawn from its own kBootstrap stream.
+  for (NodeId id = 0; id < n; ++id) {
+    Rng boot = Rng::derived(config.seed, rngstream::kBootstrap,
+                            static_cast<std::uint64_t>(id));
+    int added = 0;
+    while (added < config.bootstrap_degree) {
+      const auto peer = static_cast<NodeId>(boot.uniform_int(static_cast<std::uint64_t>(n)));
+      if (peer == id) continue;
+      if (neighbors_[static_cast<std::size_t>(id)].add(peer)) ++added;
+    }
+  }
   msg_seq_.assign(static_cast<std::size_t>(n), 0);
   node_dyn_.resize(static_cast<std::size_t>(n));
   snapshots_.resize(static_cast<std::size_t>(n));
@@ -518,11 +542,10 @@ void ShardedEngine::on_delivered_pong(Shard& shard, double t_proc,
       shard.estimator->estimate_rtt(observer, remote, t_proc);
   NC_ASSERT(predicted.has_value());  // the pair was observed this instant
 
+  // Online runs stamp the oracle value at ping time, replay readers from
+  // the generating network (which run() requires under collect_oracle).
   std::optional<double> truth;
-  // Replay oracle values exist only when the caller supplied the generating
-  // network; online runs compute them at ping time.
-  if (config_.collect_oracle && (mode_ == Mode::kOnline || oracle_ != nullptr))
-    truth = ev.gt_rtt_ms;
+  if (config_.collect_oracle) truth = ev.gt_rtt_ms;
 
   const double err = shard.collector->on_observation(
       t_proc, observer, remote, static_cast<double>(ev.rtt_ms), *predicted,
@@ -585,7 +608,7 @@ void ShardedEngine::read_trace_until(int shard_idx, double t_limit) {
     msg.to = rec.dst;    // the observed node: first stop of the record
     msg.seq = reader.seq++;
     msg.rtt_ms = rec.rtt_ms;
-    if (oracle_ != nullptr && config_.collect_oracle)
+    if (config_.collect_oracle)
       msg.gt_rtt_ms = oracle_->ground_truth_rtt(rec.src, rec.dst, rec.t_s);
     mailbox_.send(shard_idx,
                   shards_[static_cast<std::size_t>(shard_idx)].ownership.owner(
@@ -641,6 +664,8 @@ void ShardedEngine::run(lat::TraceSource& source, lat::LatencyNetwork* oracle) {
   NC_CHECK_MSG(mode_ == Mode::kReplay, "run(trace) is replay mode only");
   NC_CHECK_MSG(source.num_nodes() <= num_nodes(),
                "trace has more nodes than driver");
+  NC_CHECK_MSG(!config_.collect_oracle || oracle != nullptr,
+               "collect_oracle needs the generating network as oracle");
   readers_.resize(shards_.size());
   readers_[0] = ReaderState{&source, std::nullopt, 0, false};
   oracle_ = oracle;
@@ -660,6 +685,10 @@ void ShardedEngine::run_partitioned(
                "run_partitioned(traces) is replay mode only");
   NC_CHECK_MSG(sources.size() == shards_.size(),
                "need exactly one trace slice per shard");
+  NC_CHECK_MSG(!config_.collect_oracle,
+               "partitioned replay cannot collect oracle metrics (the oracle "
+               "network is not safe for concurrent readers); use run(source, "
+               "oracle)");
   partitioned_ = true;
   readers_.resize(shards_.size());
   for (std::size_t s = 0; s < sources.size(); ++s) {

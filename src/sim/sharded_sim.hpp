@@ -64,9 +64,9 @@
 // epoch's start; a replay record is answered in the epoch containing it and
 // observed at the next boundary), and node up/down/overload state advances
 // at epoch starts instead of per query. shards=1 is the reference
-// semantics; the retired serial engines' immediate-delivery semantics no
-// longer exist as a separate code path (OnlineSimulator and ReplayDriver
-// are thin facades over this kernel).
+// semantics. This class is the one entry point for both modes: every
+// caller — run_scenario, the benches, the tests — constructs ShardedEngine
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -79,16 +79,81 @@
 #include "core/nc_client.hpp"
 #include "core/neighbor_set.hpp"
 #include "core/ownership.hpp"
+#include "estimate/estimator_config.hpp"
 #include "estimate/snapshot.hpp"
 #include "latency/link_model.hpp"
 #include "latency/topology.hpp"
 #include "latency/trace.hpp"
 #include "sim/metrics.hpp"
-#include "sim/online_sim.hpp"
 #include "sim/shard_mailbox.hpp"
 #include "sim/sharded_route_change.hpp"
 
 namespace nc::sim {
+
+/// Online-mode configuration: the paper's PlanetLab deployment (Sec. VI).
+/// Every node pings one neighbor from its NeighborSet, round-robin, every
+/// `ping_interval_s` (paper: 5 s) with a small deterministic phase jitter.
+/// Each ping/pong carries the sender's coordinate state plus one gossiped
+/// neighbor address, so membership spreads epidemically from a small
+/// bootstrap set. Lost pings and down nodes time out without an
+/// observation. All stochastic state derives from `seed`.
+struct OnlineSimConfig {
+  NCClientConfig client;
+
+  double duration_s = 4.0 * 3600.0;
+  double measure_start_s = 2.0 * 3600.0;
+  double ping_interval_s = 5.0;   // paper Sec. VI
+  double ping_jitter_s = 0.25;    // deterministic phase jitter per ping
+
+  /// Each node bootstraps with this many random known peers (>= 1).
+  int bootstrap_degree = 3;
+  std::size_t neighbor_capacity = 512;
+
+  bool collect_timeseries = false;
+  double timeseries_bucket_s = 600.0;
+  bool collect_oracle = false;
+  std::vector<NodeId> tracked_nodes;
+  double track_interval_s = 600.0;
+
+  std::uint64_t seed = 7;
+
+  /// Which estimation backend answers RTT queries (and scores the accuracy
+  /// metrics). Each shard owns one instance fed its nodes' observations.
+  est::EstimatorSpec estimator;
+
+  /// Publish an immutable est::EpochSnapshot of every node's application
+  /// coordinate / confidence / availability at epoch boundaries — the
+  /// serving layer's concurrent read path (ShardedEngine::
+  /// snapshot_publisher()). Off by default; with publication off the run is
+  /// bit-identical to a build without the seam. Forced on when
+  /// estimator.backend == kSnapshot.
+  bool publish_snapshots = false;
+  /// Publish every k-th epoch boundary (>= 1). The end-of-run state is
+  /// always published once the run finishes, whatever the cadence.
+  int snapshot_interval_epochs = 1;
+  /// Churn-proportional publication: ship a full base snapshot only every
+  /// snapshot_base_interval-th publish and compact deltas (the slots whose
+  /// published state actually changed) in between. Readers reconstruct the
+  /// full view through est::SnapshotView. Observationally identical to full
+  /// publication — same publish epochs, same version numbering, and any
+  /// reconstructed view matches the full snapshot slot for slot — only the
+  /// bytes shipped per publish change (O(churn) instead of O(n)).
+  bool snapshot_deltas = false;
+  /// Full-base cadence in publishes (>= 1) when snapshot_deltas is on. The
+  /// end-of-run publish always ships a base, whatever the cadence.
+  int snapshot_base_interval = 16;
+
+  /// Dynamic shard ownership (core/ownership.hpp): every k-th epoch barrier
+  /// each shard deterministically re-plans node placement from per-node
+  /// event weights and migrates a bounded batch of nodes between shards
+  /// through the epoch mailbox. 0 (default) keeps the static block
+  /// partition. Metrics are bit-identical at any shard count with
+  /// rebalancing on, and identical to off — only per-shard utilization and
+  /// which shard holds each node's state change.
+  int rebalance_interval_epochs = 0;
+  /// Upper bound on nodes migrated per rebalance barrier (>= 0).
+  int rebalance_max_moves = 8;
+};
 
 /// Replay-mode configuration (the paper's simulator methodology, Sec. IV-A):
 /// every node runs an identically-configured client; the observation stream
@@ -109,6 +174,8 @@ struct ReplayConfig {
 
   bool collect_timeseries = false;
   double timeseries_bucket_s = 600.0;
+  /// Needs the generating network as run()'s oracle; run_partitioned()
+  /// rejects it.
   bool collect_oracle = false;
 
   /// Estimation backend (per-shard instances; see est::EstimatorSpec).
@@ -167,11 +234,16 @@ struct MemoryBudget {
 
 class ShardedEngine {
  public:
-  /// Online-mode engine: `shards` >= 1 worker threads; the topology/link/
-  /// availability configs play the role of the retired serial engine's
-  /// shared LatencyNetwork (the kernel derives all link/node stochastic
-  /// state itself, from config.seed, so it owns the network model rather
-  /// than borrowing one).
+  /// Online-mode engine: `shards` >= 1 worker threads over the network
+  /// model the topology/link/availability configs describe. The kernel
+  /// derives all link/node stochastic state itself, from config.seed, so a
+  /// caller holding a lat::LatencyNetwork passes its topology(),
+  /// link_config() and availability(). Route changes come only as
+  /// `route_changes` arguments. Validates the config up front: bootstrap
+  /// degree in [1, n), positive ping interval, positive track interval when
+  /// tracking. Every node starts with `bootstrap_degree` DISTINCT random
+  /// peers (a duplicate draw must not eat a slot, or nodes silently start
+  /// under-connected).
   ShardedEngine(const OnlineSimConfig& config, int shards,
                 lat::Topology topology,
                 const lat::LinkModelConfig& link_config = {},
@@ -186,9 +258,10 @@ class ShardedEngine {
   void run();
 
   /// Replays every record of `source` (records past duration_s are
-  /// ignored). `oracle` optionally supplies ground-truth RTTs for oracle
-  /// metrics — pass the generating LatencyNetwork. Call once; replay mode
-  /// only.
+  /// ignored). `oracle` supplies ground-truth RTTs for oracle metrics —
+  /// pass the generating LatencyNetwork. It is required when
+  /// config.collect_oracle is set: without it the run throws CheckError
+  /// before reading a record. Call once; replay mode only.
   void run(lat::TraceSource& source, lat::LatencyNetwork* oracle = nullptr);
 
   /// Replays a PRE-PARTITIONED trace: sources[s] must hold exactly the
@@ -196,8 +269,9 @@ class ShardedEngine {
   /// relative order (lat::partition_trace produces this). Every shard reads
   /// its own slice concurrently — bit-identical to run(source) on the
   /// unpartitioned trace at any shard count. No oracle: the generating
-  /// LatencyNetwork is not safe to sample from concurrent readers. Call
-  /// once; replay mode only; sources.size() must equal shards().
+  /// LatencyNetwork is not safe to sample from concurrent readers, so a
+  /// config with collect_oracle throws CheckError before the run starts.
+  /// Call once; replay mode only; sources.size() must equal shards().
   void run_partitioned(const std::vector<lat::TraceSource*>& sources);
 
   /// Merged metrics over all shards; valid after run().

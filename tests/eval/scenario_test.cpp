@@ -210,20 +210,18 @@ TEST(BackendPresets, EveryPresetRunsAShortScenario) {
   }
 }
 
-// Partition-on-open replay (spec.partition_replay): splitting the generated
-// trace into per-shard slice files and replaying one slice per reader must
-// not change a single metric bit vs the single-reader path.
+// Partition-on-open replay: at shards > 1 run_scenario splits the generated
+// trace into per-shard slice files and replays one slice per reader. That
+// must not change a single metric bit vs the single reader a one-shard run
+// uses.
 TEST(PartitionReplay, BitIdenticalToSingleReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 24;
   spec.workload.duration_s = 600.0;
-  spec.shards = 3;
 
-  // Partitioned replay is the default since PR 9; the single-reader path is
-  // the explicit opt-out under comparison here.
-  spec.partition_replay = false;
+  spec.shards = 1;
   const ScenarioOutput single = run_scenario(spec);
-  spec.partition_replay = true;
+  spec.shards = 3;
   const ScenarioOutput split = run_scenario(spec);
 
   EXPECT_EQ(single.records, split.records);
@@ -240,38 +238,35 @@ TEST(PartitionReplay, BitIdenticalToSingleReader) {
   EXPECT_EQ(single.estimator_stats.queries, split.estimator_stats.queries);
 }
 
-// One worker shard: the flag is a no-op (the slice path needs shards > 1),
-// and oracle collection composes with it because the single-reader branch
-// still runs.
+// One worker shard reads the trace through the single reader, so oracle
+// collection composes with it.
 TEST(PartitionReplay, SingleShardFallsBackToOneReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 12;
   spec.workload.duration_s = 300.0;
   spec.shards = 1;
   spec.measurement.collect_oracle = true;
-  spec.partition_replay = true;
   const ScenarioOutput out = run_scenario(spec);
   EXPECT_GT(out.metrics.observation_count(), 0u);
 }
 
-// Sharded + oracle: partition_replay now defaults ON, but oracle sampling
-// needs the generating network, which concurrent readers must not touch —
-// the run silently keeps the single reader instead of throwing, and the
-// metrics match an explicit single-reader run bit for bit.
+// Sharded + oracle: oracle sampling needs the generating network, which
+// concurrent readers must not touch, so a sharded oracle run keeps the
+// single reader instead of throwing, and its metrics match a one-shard
+// oracle run bit for bit.
 TEST(PartitionReplay, OracleRunsFallBackToOneReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 16;
   spec.workload.duration_s = 300.0;
-  spec.shards = 3;
   spec.measurement.collect_oracle = true;
-  ASSERT_TRUE(spec.partition_replay);  // the PR 9 default
-  const ScenarioOutput defaulted = run_scenario(spec);
-  spec.partition_replay = false;
+  spec.shards = 3;
+  const ScenarioOutput sharded = run_scenario(spec);
+  spec.shards = 1;
   const ScenarioOutput single = run_scenario(spec);
-  EXPECT_GT(defaulted.metrics.observation_count(), 0u);
-  EXPECT_EQ(defaulted.metrics.observation_count(),
+  EXPECT_GT(sharded.metrics.observation_count(), 0u);
+  EXPECT_EQ(sharded.metrics.observation_count(),
             single.metrics.observation_count());
-  EXPECT_EQ(defaulted.metrics.median_relative_error(),
+  EXPECT_EQ(sharded.metrics.median_relative_error(),
             single.metrics.median_relative_error());
 }
 

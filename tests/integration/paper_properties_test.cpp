@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/scenario.hpp"
-#include "sim/replay.hpp"
+#include "sim/sharded_sim.hpp"
 
 namespace nc::eval {
 namespace {
@@ -205,7 +205,7 @@ TEST(PaperProperties, ConfidenceBuildingHelpsOnCluster) {
     rc.client = s.client;
     rc.duration_s = s.workload.duration_s;
     rc.measure_start_s = 300.0;
-    sim::ReplayDriver driver(rc, gen.num_nodes());
+    sim::ShardedEngine driver(rc, gen.num_nodes());
     driver.run(gen);
     double sum = 0.0;
     for (NodeId id = 0; id < 3; ++id) sum += driver.client(id).confidence();

@@ -28,6 +28,17 @@ ObservationOutcome outcome(double sys_move, bool app_updated, double app_move) {
   return o;
 }
 
+/// One observation plus its per-destination record: the engine feeds the
+/// error on_observation returns to the destination owner's collector, which
+/// here is the same collector.
+void observe_with_dst(MetricsCollector& m, double t, NodeId src, NodeId dst,
+                      double raw_rtt_ms, const Coordinate& src_app,
+                      const Coordinate& dst_app,
+                      const ObservationOutcome& o = outcome(0, false, 0)) {
+  m.record_dst_error(
+      t, dst, m.on_observation(t, src, dst, raw_rtt_ms, src_app, dst_app, o));
+}
+
 TEST(MetricsCollector, RejectsBadConfig) {
   MetricsConfig c = small_config();
   c.num_nodes = 1;
@@ -200,10 +211,10 @@ TEST(MetricsCollector, PerDstMedianErrorKeyedByObservedNode) {
   // Three observers aim at node 3; their errors are 0.5, 0.25 and 0.0, so
   // node 3's per-destination median is 0.25. Node 1 is observed once with
   // error 1.0.
-  m.on_observation(1.0, 0, 3, 60.0, at(0, 0), at(30, 0), outcome(0, false, 0));
-  m.on_observation(2.0, 1, 3, 40.0, at(0, 0), at(30, 0), outcome(0, false, 0));
-  m.on_observation(3.0, 2, 3, 30.0, at(0, 0), at(30, 0), outcome(0, false, 0));
-  m.on_observation(4.0, 0, 1, 20.0, at(0, 0), at(40, 0), outcome(0, false, 0));
+  observe_with_dst(m, 1.0, 0, 3, 60.0, at(0, 0), at(30, 0));
+  observe_with_dst(m, 2.0, 1, 3, 40.0, at(0, 0), at(30, 0));
+  observe_with_dst(m, 3.0, 2, 3, 30.0, at(0, 0), at(30, 0));
+  observe_with_dst(m, 4.0, 0, 1, 20.0, at(0, 0), at(40, 0));
   EXPECT_DOUBLE_EQ(m.median_error_to(3), 0.25);
   EXPECT_DOUBLE_EQ(m.median_error_to(1), 1.0);
   EXPECT_EQ(m.dst_observation_count(3), 3u);
@@ -218,13 +229,13 @@ TEST(MetricsCollector, PerDstExcludesWarmupAndEnforcesMinSamples) {
   c.measure_start_s = 50.0;
   c.min_node_samples = 2;
   MetricsCollector m(c);
-  m.on_observation(10.0, 0, 3, 60.0, at(0, 0), at(30, 0), outcome(0, false, 0));
+  observe_with_dst(m, 10.0, 0, 3, 60.0, at(0, 0), at(30, 0));
   EXPECT_EQ(m.dst_observation_count(3), 0u);  // warm-up excluded
-  m.on_observation(60.0, 0, 3, 60.0, at(0, 0), at(30, 0), outcome(0, false, 0));
+  observe_with_dst(m, 60.0, 0, 3, 60.0, at(0, 0), at(30, 0));
   EXPECT_EQ(m.dst_observation_count(3), 1u);
   EXPECT_THROW((void)m.median_error_to(3), CheckError);  // below min samples
   EXPECT_TRUE(m.per_dst_median_error().empty());
-  m.on_observation(61.0, 1, 3, 60.0, at(0, 0), at(30, 0), outcome(0, false, 0));
+  observe_with_dst(m, 61.0, 1, 3, 60.0, at(0, 0), at(30, 0));
   EXPECT_EQ(m.per_dst_median_error().size(), 1u);
 }
 
@@ -268,11 +279,10 @@ TEST(MetricsCollector, InstabilityWindowExcludesPartialWarmupSecond) {
 }
 
 TEST(MetricsCollector, DeferredDstAccountingRoutesThroughRecordDstError) {
-  MetricsConfig c = small_config();
-  c.inline_dst_errors = false;
-  MetricsCollector m(c);
+  MetricsCollector m(small_config());
   m.on_observation(1.0, 0, 3, 60.0, at(0, 0), at(30, 0), outcome(0, false, 0));
-  EXPECT_EQ(m.dst_observation_count(3), 0u);  // inline path disabled
+  // on_observation leaves the destination's accounting to the caller.
+  EXPECT_EQ(m.dst_observation_count(3), 0u);
   m.record_dst_error(1.0, 3, 0.5);
   m.record_dst_error(2.0, 3, 0.25);
   m.record_dst_error(3.0, 3, 0.0);
@@ -280,28 +290,26 @@ TEST(MetricsCollector, DeferredDstAccountingRoutesThroughRecordDstError) {
   EXPECT_DOUBLE_EQ(m.median_error_to(3), 0.25);
 }
 
-TEST(MetricsCollector, RecordDstErrorRespectsEvalWindowAndInlineFlag) {
+TEST(MetricsCollector, RecordDstErrorRespectsEvalWindow) {
   MetricsConfig c = small_config();
   c.measure_start_s = 50.0;
-  c.inline_dst_errors = false;
   MetricsCollector m(c);
   m.record_dst_error(10.0, 2, 1.0);  // warm-up: ignored
   EXPECT_EQ(m.dst_observation_count(2), 0u);
   m.record_dst_error(60.0, 2, 1.0);
   EXPECT_EQ(m.dst_observation_count(2), 1u);
-  // The inline-accounting collector rejects the deferred path outright.
-  MetricsCollector inline_m(small_config());
-  EXPECT_THROW(inline_m.record_dst_error(60.0, 2, 1.0), CheckError);
 }
 
 TEST(MetricsCollector, MergeCombinesDisjointNodeSets) {
   MetricsCollector a(small_config());
   MetricsCollector b(small_config());
   // Shard A owns nodes 0-1, shard B owns 2-3; same second, both shards.
-  a.on_observation(5.1, 0, 1, 60.0, at(0, 0), at(30, 0), outcome(1, true, 2.0));
-  a.on_observation(5.9, 1, 0, 30.0, at(0, 0), at(30, 0), outcome(1, true, 3.0));
-  b.on_observation(5.5, 2, 3, 40.0, at(0, 0), at(30, 0), outcome(1, true, 5.0));
-  b.on_observation(7.5, 3, 2, 30.0, at(0, 0), at(30, 0), outcome(1, true, 7.0));
+  // Every observation stays within one shard, so each collector also owns
+  // its destinations.
+  observe_with_dst(a, 5.1, 0, 1, 60.0, at(0, 0), at(30, 0), outcome(1, true, 2.0));
+  observe_with_dst(a, 5.9, 1, 0, 30.0, at(0, 0), at(30, 0), outcome(1, true, 3.0));
+  observe_with_dst(b, 5.5, 2, 3, 40.0, at(0, 0), at(30, 0), outcome(1, true, 5.0));
+  observe_with_dst(b, 7.5, 3, 2, 30.0, at(0, 0), at(30, 0), outcome(1, true, 7.0));
   a.merge(b);
 
   EXPECT_EQ(a.observation_count(), 4u);

@@ -1,4 +1,8 @@
-#include "sim/online_sim.hpp"
+// The online deployment protocol (paper Sec. VI) on ShardedEngine at one
+// shard: convergence, gossip, determinism, churn, drift tracking and config
+// validation. Each run builds its engine from a LatencyNetwork's topology,
+// link and availability configs.
+#include "sim/sharded_sim.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +20,13 @@ lat::LatencyNetwork small_network(int nodes = 20, std::uint64_t seed = 81) {
   return lat::LatencyNetwork(lat::Topology::make(tc), lat::LinkModelConfig{}, av, seed);
 }
 
+/// One-shard online engine over `net`'s network model.
+ShardedEngine one_shard(const OnlineSimConfig& config,
+                        const lat::LatencyNetwork& net) {
+  return ShardedEngine(config, 1, net.topology(), net.link_config(),
+                       net.availability());
+}
+
 OnlineSimConfig small_config(double duration = 900.0) {
   OnlineSimConfig c;
   c.client.vivaldi.dim = 3;
@@ -26,27 +37,27 @@ OnlineSimConfig small_config(double duration = 900.0) {
   return c;
 }
 
-TEST(OnlineSimulator, RunsAndConverges) {
+TEST(OnlineMode, RunsAndConverges) {
   auto net = small_network();
-  OnlineSimulator sim(small_config(), net);
+  ShardedEngine sim = one_shard(small_config(), net);
   sim.run();
   EXPECT_GT(sim.pings_sent(), 1000u);
   EXPECT_GT(sim.metrics().observation_count(), 500u);
   EXPECT_LT(sim.metrics().median_relative_error(), 0.3);
 }
 
-TEST(OnlineSimulator, RunTwiceRejected) {
+TEST(OnlineMode, RunTwiceRejected) {
   auto net = small_network();
-  OnlineSimulator sim(small_config(60.0), net);
+  ShardedEngine sim = one_shard(small_config(60.0), net);
   sim.run();
   EXPECT_THROW(sim.run(), CheckError);
 }
 
-TEST(OnlineSimulator, GossipSpreadsMembership) {
+TEST(OnlineMode, GossipSpreadsMembership) {
   auto net = small_network(20);
   OnlineSimConfig c = small_config(900.0);
   c.bootstrap_degree = 1;  // minimal seed knowledge
-  OnlineSimulator sim(c, net);
+  ShardedEngine sim = one_shard(c, net);
   sim.run();
   // Every node should know far more peers than it was bootstrapped with.
   int grew = 0;
@@ -55,10 +66,10 @@ TEST(OnlineSimulator, GossipSpreadsMembership) {
   EXPECT_GT(grew, sim.num_nodes() * 3 / 4);
 }
 
-TEST(OnlineSimulator, DeterministicBySeed) {
+TEST(OnlineMode, DeterministicBySeed) {
   const auto run_once = [] {
     auto net = small_network(12, 83);
-    OnlineSimulator sim(small_config(300.0), net);
+    ShardedEngine sim = one_shard(small_config(300.0), net);
     sim.run();
     return std::tuple{sim.pings_sent(), sim.metrics().observation_count(),
                       sim.metrics().median_relative_error()};
@@ -66,7 +77,7 @@ TEST(OnlineSimulator, DeterministicBySeed) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(OnlineSimulator, IdenticalWorkloadAcrossClientConfigs) {
+TEST(OnlineMode, IdenticalWorkloadAcrossClientConfigs) {
   // The paper runs filtered and unfiltered coordinate systems side by side
   // on the same hosts. Same seed + same network seed => identical pings and
   // RTT streams regardless of the client configuration.
@@ -74,7 +85,7 @@ TEST(OnlineSimulator, IdenticalWorkloadAcrossClientConfigs) {
     auto net = small_network(12, 85);
     OnlineSimConfig c = small_config(300.0);
     c.client.filter = f;
-    OnlineSimulator sim(c, net);
+    ShardedEngine sim = one_shard(c, net);
     sim.run();
     return std::pair{sim.pings_sent(), sim.pings_lost()};
   };
@@ -82,7 +93,7 @@ TEST(OnlineSimulator, IdenticalWorkloadAcrossClientConfigs) {
             pings_with(FilterConfig::none()));
 }
 
-TEST(OnlineSimulator, LossyNetworkStillConverges) {
+TEST(OnlineMode, LossyNetworkStillConverges) {
   lat::TopologyConfig tc;
   tc.num_nodes = 16;
   tc.seed = 87;
@@ -91,13 +102,13 @@ TEST(OnlineSimulator, LossyNetworkStillConverges) {
   lat::AvailabilityConfig av;
   av.enabled = false;
   lat::LatencyNetwork net(lat::Topology::make(tc), lm, av, 87);
-  OnlineSimulator sim(small_config(900.0), net);
+  ShardedEngine sim = one_shard(small_config(900.0), net);
   sim.run();
   EXPECT_GT(sim.pings_lost(), 0u);
   EXPECT_LT(sim.metrics().median_relative_error(), 0.4);
 }
 
-TEST(OnlineSimulator, ChurnedNodesDoNotPingWhileDown) {
+TEST(OnlineMode, ChurnedNodesDoNotPingWhileDown) {
   lat::TopologyConfig tc;
   tc.num_nodes = 10;
   tc.seed = 89;
@@ -107,29 +118,29 @@ TEST(OnlineSimulator, ChurnedNodesDoNotPingWhileDown) {
   av.mean_up_s = 1e9;
   av.mean_down_s = 1e9;
   lat::LatencyNetwork net(lat::Topology::make(tc), lat::LinkModelConfig{}, av, 89);
-  OnlineSimulator sim(small_config(300.0), net);
+  ShardedEngine sim = one_shard(small_config(300.0), net);
   sim.run();
   // Roughly half the nodes are permanently down: ping volume is well below
   // the all-up expectation of ~10 * 150.
   EXPECT_LT(sim.pings_sent(), 10u * 150u * 3u / 4u);
 }
 
-TEST(OnlineSimulator, TracksDrift) {
+TEST(OnlineMode, TracksDrift) {
   auto net = small_network(8);
   OnlineSimConfig c = small_config(600.0);
   c.tracked_nodes = {1};
   c.track_interval_s = 120.0;
-  OnlineSimulator sim(c, net);
+  ShardedEngine sim = one_shard(c, net);
   sim.run();
   EXPECT_GE(sim.metrics().drift(1).size(), 3u);
 }
 
-TEST(OnlineSimulator, DriftSeriesCoversTheWholeRun) {
+TEST(OnlineMode, DriftSeriesCoversTheWholeRun) {
   auto net = small_network(8);
   OnlineSimConfig c = small_config(600.0);
   c.tracked_nodes = {1};
   c.track_interval_s = 250.0;
-  OnlineSimulator sim(c, net);
+  ShardedEngine sim = one_shard(c, net);
   sim.run();
   // Interior samples at 250 and 500 plus the final flush at duration_s.
   const auto& d = sim.metrics().drift(1);
@@ -137,46 +148,36 @@ TEST(OnlineSimulator, DriftSeriesCoversTheWholeRun) {
   EXPECT_DOUBLE_EQ(d.back().t, 600.0);
 }
 
-TEST(OnlineSimulator, NonPositiveTrackIntervalRejected) {
+TEST(OnlineMode, NonPositiveTrackIntervalRejected) {
   // Used to spin forever inside maybe_track (next_track_t_ += 0).
   auto net = small_network(8);
   OnlineSimConfig c = small_config(300.0);
   c.tracked_nodes = {1};
   c.track_interval_s = 0.0;
-  EXPECT_THROW(OnlineSimulator(c, net), CheckError);
+  EXPECT_THROW((void)one_shard(c, net), CheckError);
 }
 
-TEST(OnlineSimulator, BootstrapDegreeCountsDistinctPeers) {
+TEST(OnlineMode, BootstrapDegreeCountsDistinctPeers) {
   // With 8 nodes and degree 5 duplicate draws are near-certain; every node
   // must still start with exactly 5 DISTINCT live peers (the constructor
   // used to count duplicates toward the degree and under-connect).
   auto net = small_network(8);
   OnlineSimConfig c = small_config(60.0);
   c.bootstrap_degree = 5;
-  OnlineSimulator sim(c, net);
+  ShardedEngine sim = one_shard(c, net);
   for (NodeId id = 0; id < sim.num_nodes(); ++id) {
     EXPECT_EQ(sim.neighbors(id).size(), 5u) << "node " << id;
     EXPECT_FALSE(sim.neighbors(id).contains(id)) << "node " << id;
   }
 }
 
-TEST(OnlineSimulator, NetworkWithScheduledRouteChangesRejected) {
-  // The facade copies the network's configuration, not its state: a
-  // schedule installed on the network object would be silently dropped, so
-  // the constructor refuses it (kernel callers pass ShardedRouteChange
-  // arguments instead).
-  auto net = small_network(8);
-  net.schedule_route_change(0, 1, 2.0, 30.0);
-  EXPECT_THROW(OnlineSimulator(small_config(60.0), net), CheckError);
-}
-
-TEST(OnlineSimulator, BootstrapDegreeMustLeaveANonPeer) {
+TEST(OnlineMode, BootstrapDegreeMustLeaveANonPeer) {
   // degree >= n can never find enough distinct peers: reject instead of
   // looping forever in the constructor.
   auto net = small_network(8);
   OnlineSimConfig c = small_config(60.0);
   c.bootstrap_degree = 8;
-  EXPECT_THROW(OnlineSimulator(c, net), CheckError);
+  EXPECT_THROW((void)one_shard(c, net), CheckError);
 }
 
 }  // namespace

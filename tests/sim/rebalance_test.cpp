@@ -21,7 +21,6 @@
 #include "eval/scenario.hpp"
 #include "latency/trace.hpp"
 #include "latency/trace_generator.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace nc::sim {
@@ -217,7 +216,7 @@ TEST(Rebalance, ReplayBitIdenticalWithMigration) {
     rc.shards = shards;
     rc.rebalance_interval_epochs = every;
     rc.rebalance_max_moves = 16;
-    ReplayDriver driver(rc, gen.num_nodes());
+    ShardedEngine driver(rc, gen.num_nodes());
     driver.run(gen);
     std::vector<Coordinate> coords;
     for (NodeId id = 0; id < driver.num_nodes(); ++id)
@@ -248,7 +247,7 @@ TEST(Rebalance, PartitionedReplayComposesWithRebalance) {
   tc.seed = 71;
   lat::generate_trace_file(tc, whole);
 
-  const auto result_of = [](ReplayDriver& driver) {
+  const auto result_of = [](ShardedEngine& driver) {
     std::vector<Coordinate> coords;
     for (NodeId id = 0; id < driver.num_nodes(); ++id)
       coords.push_back(driver.client(id).system_coordinate());
@@ -265,7 +264,7 @@ TEST(Rebalance, PartitionedReplayComposesWithRebalance) {
 
   lat::TraceReader ref_src(whole);
   rc.shards = 1;
-  ReplayDriver ref(rc, ref_src.num_nodes());
+  ShardedEngine ref(rc, ref_src.num_nodes());
   ref.run(ref_src);
   const auto expected = result_of(ref);
 
@@ -280,7 +279,7 @@ TEST(Rebalance, PartitionedReplayComposesWithRebalance) {
       sources.push_back(slices.back().get());
     }
     rc.shards = shards;
-    ReplayDriver driver(rc, ref_src.num_nodes());
+    ShardedEngine driver(rc, ref_src.num_nodes());
     driver.run_partitioned(sources);
     EXPECT_EQ(result_of(driver), expected) << "shards=" << shards;
     EXPECT_GT(driver.migrated_nodes(), 0u) << "shards=" << shards;

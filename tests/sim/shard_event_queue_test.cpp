@@ -1,150 +1,18 @@
-#include "sim/event_queue.hpp"
+// ShardEventQueue, the per-shard scheduler of the sharded engine: calendar
+// order under every access pattern the engine produces (sorted buckets,
+// wrap-around years, far-future residue events, grow and shrink), and the
+// canonical (t, kind, a, b, seq) tie-break that keeps runs bit-identical at
+// any shard count.
+#include "sim/shard_mailbox.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/check.hpp"
-#include "sim/shard_mailbox.hpp"
 
 namespace nc::sim {
 namespace {
-
-struct Payload {
-  int id;
-};
-
-TEST(EventQueue, EmptyPopsNothing) {
-  EventQueue<Payload> q;
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_EQ(q.now(), 0.0);
-}
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue<Payload> q;
-  q.schedule(3.0, {3});
-  q.schedule(1.0, {1});
-  q.schedule(2.0, {2});
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-  EXPECT_EQ(q.pop()->payload.id, 3);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, TiesBreakInInsertionOrder) {
-  EventQueue<Payload> q;
-  for (int i = 0; i < 10; ++i) q.schedule(5.0, {i});
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop()->payload.id, i);
-}
-
-TEST(EventQueue, ClockAdvancesWithPops) {
-  EventQueue<Payload> q;
-  q.schedule(2.5, {1});
-  q.schedule(7.0, {2});
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_EQ(q.now(), 2.5);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-  EXPECT_EQ(q.now(), 7.0);
-}
-
-TEST(EventQueue, SchedulingInThePastRejected) {
-  EventQueue<Payload> q;
-  q.schedule(10.0, {1});
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_THROW(q.schedule(5.0, {2}), CheckError);
-  q.schedule(10.0, {3});  // same time as now is fine
-  EXPECT_EQ(q.pop()->payload.id, 3);
-}
-
-TEST(EventQueue, InterleavedScheduleAndPop) {
-  EventQueue<Payload> q;
-  q.schedule(1.0, {1});
-  const auto e1 = q.pop();
-  q.schedule(e1->t + 1.0, {2});
-  q.schedule(e1->t + 0.5, {3});
-  EXPECT_EQ(q.pop()->payload.id, 3);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-}
-
-TEST(EventQueue, ManyEventsStressOrdering) {
-  EventQueue<Payload> q;
-  // Deterministic pseudo-random times.
-  std::uint64_t x = 12345;
-  for (int i = 0; i < 10000; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.schedule(static_cast<double>(x % 100000) / 10.0, {i});
-  }
-  double last = -1.0;
-  while (auto e = q.pop()) {
-    ASSERT_GE(e->t, last);
-    last = e->t;
-  }
-}
-
-// Same-timestamp events land in one calendar bucket; they must still pop in
-// insertion (sequence) order even when interleaved with earlier/later times
-// and when the burst is large enough to trigger bucket-count rebuilds.
-TEST(EventQueue, LargeSameTimeBurstPopsInInsertionOrder) {
-  EventQueue<Payload> q;
-  q.schedule(4.0, {-1});
-  for (int i = 0; i < 2000; ++i) q.schedule(5.0, {i});
-  q.schedule(4.5, {-2});
-  EXPECT_EQ(q.pop()->payload.id, -1);
-  EXPECT_EQ(q.pop()->payload.id, -2);
-  for (int i = 0; i < 2000; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  EXPECT_TRUE(q.empty());
-}
-
-// A steady hold pattern cycles the calendar through many "years" (bucket
-// wrap-arounds): order must hold across every wrap.
-TEST(EventQueue, HoldPatternSurvivesBucketWrapAround) {
-  EventQueue<Payload> q;
-  std::uint64_t x = 99;
-  for (int i = 0; i < 64; ++i) q.schedule(static_cast<double>(i) / 8.0, {i});
-  double last = 0.0;
-  for (int i = 0; i < 50000; ++i) {
-    const auto e = q.pop();
-    ASSERT_TRUE(e.has_value());
-    ASSERT_GE(e->t, last);
-    last = e->t;
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    // Mean increment ~8 time units over 64 held events: the active window
-    // keeps sliding far past any fixed bucket year.
-    q.schedule(e->t + static_cast<double>(x % 1000) / 64.0, {i});
-  }
-  EXPECT_EQ(q.size(), 64u);
-}
-
-// Events scheduled far beyond the calendar's covered year wait in their
-// residue bucket (the overflow case) and must surface exactly in order once
-// the near-term traffic drains.
-TEST(EventQueue, FarFutureEventsPopAfterNearOnes) {
-  EventQueue<Payload> q;
-  q.schedule(1e6, {100});  // years ahead of everything else
-  q.schedule(2e6, {200});
-  for (int i = 0; i < 100; ++i) q.schedule(static_cast<double>(i), {i});
-  for (int i = 0; i < 100; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  EXPECT_EQ(q.pop()->payload.id, 100);  // cursor jumps a year gap
-  EXPECT_EQ(q.pop()->payload.id, 200);
-  EXPECT_EQ(q.pop(), std::nullopt);
-  // The queue stays usable after draining through the far-future jump.
-  q.schedule(3e6, {300});
-  EXPECT_EQ(q.pop()->payload.id, 300);
-}
-
-// Grow-then-shrink: a large population resizes the calendar up; draining it
-// must shrink back without losing or reordering the survivors.
-TEST(EventQueue, ShrinkAfterDrainKeepsRemainingOrder) {
-  EventQueue<Payload> q;
-  for (int i = 0; i < 5000; ++i) q.schedule(static_cast<double>(i) * 0.01, {i});
-  for (int i = 0; i < 4990; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  for (int i = 0; i < 10; ++i) ASSERT_EQ(q.pop()->payload.id, 4990 + i);
-  EXPECT_TRUE(q.empty());
-}
-
-// ---- ShardEventQueue: canonical (t, kind, a, b, seq) order ----
 
 ShardEvent shard_event(double t, ShardEventKind kind, NodeId a, NodeId b,
                        std::uint64_t seq) {
@@ -156,6 +24,126 @@ ShardEvent shard_event(double t, ShardEventKind kind, NodeId a, NodeId b,
   ev.seq = seq;
   return ev;
 }
+
+// ---- Calendar order: events that differ only in time and seq ----
+
+/// One delivered ping whose only distinguishing key besides `t` is `id`
+/// (carried in seq, the last tie-break).
+ShardEvent ping_at(double t, std::uint64_t id) {
+  return shard_event(t, ShardEventKind::kPing, 0, 0, id);
+}
+
+TEST(ShardEventQueue, EmptyPopsNothing) {
+  ShardEventQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_FALSE(q.has_event_before(1e18));
+  EXPECT_THROW((void)q.pop(), CheckError);
+}
+
+TEST(ShardEventQueue, PopsInTimeOrder) {
+  ShardEventQueue q;
+  q.push(ping_at(3.0, 3));
+  q.push(ping_at(1.0, 1));
+  q.push(ping_at(2.0, 2));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.pop().seq, 1u);
+  EXPECT_EQ(q.pop().seq, 2u);
+  EXPECT_EQ(q.pop().seq, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ShardEventQueue, InterleavedPushAndPop) {
+  ShardEventQueue q;
+  q.push(ping_at(1.0, 1));
+  const ShardEvent e1 = q.pop();
+  q.push(ping_at(e1.t + 1.0, 2));
+  q.push(ping_at(e1.t + 0.5, 3));
+  EXPECT_EQ(q.pop().seq, 3u);
+  EXPECT_EQ(q.pop().seq, 2u);
+}
+
+TEST(ShardEventQueue, ManyEventsStressOrdering) {
+  ShardEventQueue q;
+  // Deterministic pseudo-random times.
+  std::uint64_t x = 12345;
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    q.push(ping_at(static_cast<double>(x % 100000) / 10.0, i));
+  }
+  double last = -1.0;
+  while (!q.empty()) {
+    const ShardEvent e = q.pop();
+    ASSERT_GE(e.t, last);
+    last = e.t;
+  }
+}
+
+// Same-timestamp events land in one calendar bucket; they must still pop in
+// seq order even when interleaved with earlier/later times and when the
+// burst is large enough to trigger bucket-count rebuilds.
+TEST(ShardEventQueue, LargeSameTimeBurstPopsInSeqOrder) {
+  ShardEventQueue q;
+  q.push(ping_at(4.0, 9001));
+  for (std::uint64_t i = 0; i < 2000; ++i) q.push(ping_at(5.0, i));
+  q.push(ping_at(4.5, 9002));
+  EXPECT_EQ(q.pop().seq, 9001u);
+  EXPECT_EQ(q.pop().seq, 9002u);
+  for (std::uint64_t i = 0; i < 2000; ++i) ASSERT_EQ(q.pop().seq, i);
+  EXPECT_TRUE(q.empty());
+}
+
+// A steady hold pattern cycles the calendar through many "years" (bucket
+// wrap-arounds): order must hold across every wrap.
+TEST(ShardEventQueue, HoldPatternSurvivesBucketWrapAround) {
+  ShardEventQueue q;
+  std::uint64_t x = 99;
+  for (std::uint64_t i = 0; i < 64; ++i)
+    q.push(ping_at(static_cast<double>(i) / 8.0, i));
+  double last = 0.0;
+  for (std::uint64_t i = 0; i < 50000; ++i) {
+    ASSERT_FALSE(q.empty());
+    const ShardEvent e = q.pop();
+    ASSERT_GE(e.t, last);
+    last = e.t;
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Mean increment ~8 time units over 64 held events: the active window
+    // keeps sliding far past any fixed bucket year.
+    q.push(ping_at(e.t + static_cast<double>(x % 1000) / 64.0, i));
+  }
+  EXPECT_EQ(q.size(), 64u);
+}
+
+// Events pushed far beyond the calendar's covered year wait in their
+// residue bucket (the overflow case) and must surface exactly in order once
+// the near-term traffic drains.
+TEST(ShardEventQueue, FarFutureEventsPopAfterNearOnes) {
+  ShardEventQueue q;
+  q.push(ping_at(1e6, 100));  // years ahead of everything else
+  q.push(ping_at(2e6, 200));
+  for (std::uint64_t i = 0; i < 100; ++i)
+    q.push(ping_at(static_cast<double>(i), i));
+  for (std::uint64_t i = 0; i < 100; ++i) ASSERT_EQ(q.pop().seq, i);
+  EXPECT_EQ(q.pop().seq, 100u);  // cursor jumps a year gap
+  EXPECT_EQ(q.pop().seq, 200u);
+  EXPECT_TRUE(q.empty());
+  // The queue stays usable after draining through the far-future jump.
+  q.push(ping_at(3e6, 300));
+  EXPECT_EQ(q.pop().seq, 300u);
+}
+
+// Grow-then-shrink: a large population resizes the calendar up; draining it
+// must shrink back without losing or reordering the survivors.
+TEST(ShardEventQueue, ShrinkAfterDrainKeepsRemainingOrder) {
+  ShardEventQueue q;
+  for (std::uint64_t i = 0; i < 5000; ++i)
+    q.push(ping_at(static_cast<double>(i) * 0.01, i));
+  for (std::uint64_t i = 0; i < 4990; ++i) ASSERT_EQ(q.pop().seq, i);
+  for (std::uint64_t i = 0; i < 10; ++i) ASSERT_EQ(q.pop().seq, 4990 + i);
+  EXPECT_TRUE(q.empty());
+}
+
+// ---- Canonical (t, kind, a, b, seq) order ----
 
 TEST(ShardEventQueue, SameTimeTiesBreakByKindOwnerSenderSeq) {
   ShardEventQueue q;

@@ -3,11 +3,13 @@
 // the same as the online engine's: every metric and every coordinate is
 // bit-identical for ANY --shards=W, because each entity consumes its
 // observation stream in a canonical, partition-independent order.
-#include "sim/replay.hpp"
+#include "sim/sharded_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,7 +47,7 @@ ReplayConfig small_replay(double duration = 600.0, int shards = 1) {
 TEST(ShardedReplay, CoordinatesBitIdenticalAcrossShardCounts) {
   const auto run_with = [](int shards) {
     lat::TraceGenerator gen(small_trace());
-    ReplayDriver driver(small_replay(600.0, shards), gen.num_nodes());
+    ShardedEngine driver(small_replay(600.0, shards), gen.num_nodes());
     driver.run(gen);
     std::vector<Coordinate> coords;
     for (NodeId id = 0; id < driver.num_nodes(); ++id)
@@ -141,7 +143,7 @@ TEST(ShardedReplay, OracleMetricsShardCountInvariant) {
     lat::TraceGenerator gen(small_trace(12, 300.0));
     ReplayConfig rc = small_replay(300.0, shards);
     rc.collect_oracle = true;
-    ReplayDriver driver(rc, gen.num_nodes());
+    ShardedEngine driver(rc, gen.num_nodes());
     driver.run(gen, &gen.network());
     const auto cdf = driver.metrics().oracle_per_node_median_error();
     return std::vector<double>(cdf.sorted_values().begin(),
@@ -160,7 +162,7 @@ TEST(ShardedReplay, DriftTrackingIsShardCountInvariant) {
     ReplayConfig rc = small_replay(600.0, shards);
     rc.tracked_nodes = {1, 17};  // land on different shards at W=3
     rc.track_interval_s = 120.0;
-    ReplayDriver driver(rc, gen.num_nodes());
+    ShardedEngine driver(rc, gen.num_nodes());
     driver.run(gen);
     std::vector<std::pair<double, Vec>> points;
     for (NodeId id : {1, 17})
@@ -193,7 +195,7 @@ TEST(ShardedReplay, PartitionedReplayBitIdenticalToSingleReader) {
     double instability;
     bool operator==(const Result&) const = default;
   };
-  const auto result_of = [](ReplayDriver& driver) {
+  const auto result_of = [](ShardedEngine& driver) {
     Result r;
     for (NodeId id = 0; id < driver.num_nodes(); ++id)
       r.coords.push_back(driver.client(id).system_coordinate());
@@ -205,7 +207,7 @@ TEST(ShardedReplay, PartitionedReplayBitIdenticalToSingleReader) {
   };
 
   lat::TraceReader ref_src(whole);
-  ReplayDriver ref(small_replay(600.0, 1), ref_src.num_nodes());
+  ShardedEngine ref(small_replay(600.0, 1), ref_src.num_nodes());
   ref.run(ref_src);
   const Result expected = result_of(ref);
 
@@ -218,7 +220,7 @@ TEST(ShardedReplay, PartitionedReplayBitIdenticalToSingleReader) {
       slices.push_back(std::make_unique<lat::TraceReader>(p));
       sources.push_back(slices.back().get());
     }
-    ReplayDriver driver(small_replay(600.0, shards), ref_src.num_nodes());
+    ShardedEngine driver(small_replay(600.0, shards), ref_src.num_nodes());
     driver.run_partitioned(sources);
     EXPECT_EQ(result_of(driver), expected) << "shards=" << shards;
   }
@@ -235,7 +237,7 @@ TEST(ShardedReplay, PartitionedReplayRejectsBadSlices) {
   {
     // Wrong slice count.
     lat::TraceReader a(whole);
-    ReplayDriver driver(small_replay(60.0, 2), 12);
+    ShardedEngine driver(small_replay(60.0, 2), 12);
     std::vector<lat::TraceSource*> sources{&a};
     EXPECT_THROW(driver.run_partitioned(sources), CheckError);
   }
@@ -244,36 +246,176 @@ TEST(ShardedReplay, PartitionedReplayRejectsBadSlices) {
     // sees records whose dst it does not own.
     lat::TraceReader a(whole);
     lat::TraceReader b(whole);
-    ReplayDriver driver(small_replay(60.0, 2), 12);
+    ShardedEngine driver(small_replay(60.0, 2), 12);
     std::vector<lat::TraceSource*> sources{&a, &b};
     EXPECT_THROW(driver.run_partitioned(sources), CheckError);
   }
 }
 
+// collect_oracle needs the generating network. Both entry points refuse a
+// run that cannot sample it before reading a single record, so a caller
+// never gets an empty oracle CDF without an error.
+TEST(ShardedReplay, OracleWithoutNetworkRejected) {
+  lat::TraceGenerator gen(small_trace(12, 300.0));
+  ReplayConfig rc = small_replay(300.0, 1);
+  rc.collect_oracle = true;
+  ShardedEngine engine(rc, gen.num_nodes());
+  EXPECT_THROW(engine.run(gen), CheckError);
+  EXPECT_EQ(gen.produced(), 0u);
+  EXPECT_EQ(engine.metrics().observation_count(), 0u);
+}
+
+TEST(ShardedReplay, PartitionedOracleRejected) {
+  const std::string prefix =
+      std::string(::testing::TempDir()) + "/replay-part-oracle";
+  const std::string whole = prefix + ".nctr";
+  lat::generate_trace_file(small_trace(12, 300.0), whole);
+  lat::TraceReader src(whole);
+  const auto paths = lat::partition_trace(src, prefix, src.num_nodes(), 2);
+  lat::TraceReader a(paths[0]);
+  lat::TraceReader b(paths[1]);
+  ReplayConfig rc = small_replay(300.0, 2);
+  rc.collect_oracle = true;
+  ShardedEngine engine(rc, src.num_nodes());
+  std::vector<lat::TraceSource*> sources{&a, &b};
+  EXPECT_THROW(engine.run_partitioned(sources), CheckError);
+  EXPECT_EQ(engine.metrics().observation_count(), 0u);
+}
+
+// ---- Worker failure path ----
+//
+// A shard that throws mid-run stores its error and drops out of the epoch
+// barrier; its peers run on to the end, and the engine rethrows the stored
+// errors in shard order. The faults are injected through the trace slices:
+// a reading shard calls next() in its processing phase (and the main
+// thread in the priming read before the workers start).
+
+struct InjectedFault : std::runtime_error {
+  explicit InjectedFault(int slice_idx)
+      : std::runtime_error("injected fault in slice " +
+                           std::to_string(slice_idx)),
+        slice(slice_idx) {}
+  int slice;
+};
+
+/// A trace slice whose next() throws InjectedFault once it has handed out
+/// `k` records.
+class FailingSource final : public lat::TraceSource {
+ public:
+  FailingSource(lat::TraceSource& inner, int slice, std::uint64_t k)
+      : inner_(inner), slice_(slice), k_(k) {}
+
+  std::optional<lat::TraceRecord> next() override {
+    if (served_ == k_) {
+      fired_ = true;
+      throw InjectedFault(slice_);
+    }
+    ++served_;
+    return inner_.next();
+  }
+  int num_nodes() const override { return inner_.num_nodes(); }
+  [[nodiscard]] bool fired() const noexcept { return fired_; }
+
+ private:
+  lat::TraceSource& inner_;
+  int slice_;
+  std::uint64_t k_;
+  std::uint64_t served_ = 0;
+  bool fired_ = false;
+};
+
+/// Records of the slice at `path` stamped before `t_s`. With this k a
+/// FailingSource throws right after handing out its last record before
+/// t_s, i.e. while its shard reads the epoch window that ends at t_s (for
+/// t_s = epoch_s: the priming read). Every window used below holds a
+/// record of each slice in the seeded trace.
+std::uint64_t records_before(const std::string& path, double t_s) {
+  lat::TraceReader reader(path);
+  std::uint64_t k = 0;
+  for (auto rec = reader.next(); rec.has_value() && rec->t_s < t_s;
+       rec = reader.next())
+    ++k;
+  return k;
+}
+
+constexpr double kNoFault = -1.0;
+
+/// Replays `whole` over fail_at.size() shards, slice s failing while its
+/// shard reads the window that ends at fail_at[s] (kNoFault: never), and
+/// checks that every injected fault fired. Returns the slice whose fault
+/// run_partitioned rethrew, or -1 if it returned normally.
+int run_with_faults(const std::string& whole, const std::string& prefix,
+                    const std::vector<double>& fail_at) {
+  const int shards = static_cast<int>(fail_at.size());
+  lat::TraceReader src(whole);
+  const auto paths = lat::partition_trace(src, prefix, src.num_nodes(), shards);
+  std::vector<std::unique_ptr<lat::TraceReader>> slices;
+  std::vector<std::unique_ptr<FailingSource>> failing;
+  std::vector<lat::TraceSource*> sources;
+  for (int s = 0; s < shards; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    slices.push_back(std::make_unique<lat::TraceReader>(paths[i]));
+    if (fail_at[i] == kNoFault) {
+      sources.push_back(slices.back().get());
+      continue;
+    }
+    failing.push_back(std::make_unique<FailingSource>(
+        *slices.back(), s, records_before(paths[i], fail_at[i])));
+    sources.push_back(failing.back().get());
+  }
+  ShardedEngine engine(small_replay(120.0, shards), src.num_nodes());
+  int surfaced = -1;
+  try {
+    engine.run_partitioned(sources);
+  } catch (const InjectedFault& e) {
+    surfaced = e.slice;
+  }
+  for (const auto& f : failing) EXPECT_TRUE(f->fired());
+  return surfaced;
+}
+
+TEST(ShardedReplay, WorkerFaultsSurfaceInShardOrder) {
+  const std::string prefix =
+      std::string(::testing::TempDir()) + "/replay-part-fault";
+  const std::string whole = prefix + ".nctr";
+  lat::generate_trace_file(small_trace(24, 120.0), whole);
+
+  // One failing slice at W=2: shard 1 runs on alone to the end.
+  EXPECT_EQ(run_with_faults(whole, prefix, {20.0, kNoFault}), 0);
+  // Slices 1 and 3 fail at different epochs, slice 3 first: the engine
+  // reports the lowest-numbered failing shard, not the earliest failure.
+  EXPECT_EQ(run_with_faults(whole, prefix, {kNoFault, 40.0, kNoFault, 5.0}), 1);
+  // All four slices fail in the same epoch: every worker drops out.
+  EXPECT_EQ(run_with_faults(whole, prefix, {11.0, 11.0, 11.0, 11.0}), 0);
+  // A fault in the priming read surfaces before any worker starts.
+  EXPECT_EQ(run_with_faults(whole, prefix, {kNoFault, kNoFault, 1.0, kNoFault}),
+            2);
+}
+
 TEST(ShardedReplay, MoreShardsThanNodesWorks) {
   lat::TraceGenerator gen(small_trace(5, 300.0));
-  ReplayDriver driver(small_replay(300.0, 8), gen.num_nodes());
+  ShardedEngine driver(small_replay(300.0, 8), gen.num_nodes());
   driver.run(gen);
   EXPECT_GT(driver.metrics().observation_count(), 0u);
 }
 
 TEST(ShardedReplay, RunTwiceRejected) {
   lat::TraceGenerator gen(small_trace(8, 60.0));
-  ReplayDriver driver(small_replay(60.0, 2), gen.num_nodes());
+  ShardedEngine driver(small_replay(60.0, 2), gen.num_nodes());
   driver.run(gen);
   lat::TraceGenerator gen2(small_trace(8, 60.0));
   EXPECT_THROW(driver.run(gen2), CheckError);
 }
 
 TEST(ShardedReplay, RejectsBadConfigs) {
-  EXPECT_THROW(ReplayDriver(small_replay(600.0, 0), 8), CheckError);
+  EXPECT_THROW(ShardedEngine(small_replay(600.0, 0), 8), CheckError);
   ReplayConfig bad_epoch = small_replay();
   bad_epoch.epoch_s = 0.0;
-  EXPECT_THROW(ReplayDriver(bad_epoch, 8), CheckError);
+  EXPECT_THROW(ShardedEngine(bad_epoch, 8), CheckError);
   ReplayConfig bad_track = small_replay();
   bad_track.tracked_nodes = {1};
   bad_track.track_interval_s = 0.0;
-  EXPECT_THROW(ReplayDriver(bad_track, 8), CheckError);
+  EXPECT_THROW(ShardedEngine(bad_track, 8), CheckError);
 }
 
 // The two run() entry points are mode-gated: a replay engine cannot run as
