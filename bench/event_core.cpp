@@ -48,14 +48,16 @@ void print_row(const char* engine, int nodes, int shards, double wall,
               "\"median_err\": %.4f, \"mem_bytes\": %llu, "
               "\"rebalance_bytes\": %llu, \"neighbor_bytes\": %llu, "
               "\"snapshot_base_bytes\": %llu, \"snapshot_delta_bytes\": "
-              "%llu}\n",
+              "%llu, \"queue_bytes\": %llu, \"collector_bytes\": %llu}\n",
               engine, nodes, shards, wall,
               static_cast<unsigned long long>(events), rate, err,
               static_cast<unsigned long long>(mem.total()),
               static_cast<unsigned long long>(mem.rebalance_bytes),
               static_cast<unsigned long long>(mem.neighbor_bytes),
               static_cast<unsigned long long>(mem.snapshot_base_bytes),
-              static_cast<unsigned long long>(mem.snapshot_delta_bytes));
+              static_cast<unsigned long long>(mem.snapshot_delta_bytes),
+              static_cast<unsigned long long>(mem.queue_bytes),
+              static_cast<unsigned long long>(mem.collector_bytes));
 }
 
 }  // namespace

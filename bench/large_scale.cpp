@@ -57,7 +57,8 @@ void print_row(const char* engine, int nodes, int shards, double wall,
       "\"median_err\": %.4f, \"mem_clients\": %llu, \"mem_links\": %llu, "
       "\"mem_estimator\": %llu, \"mem_mailbox\": %llu, "
       "\"mem_neighbors\": %llu, \"mem_snapshot_base\": %llu, "
-      "\"mem_snapshot_delta\": %llu, \"mem_bytes\": %llu}\n",
+      "\"mem_snapshot_delta\": %llu, \"mem_queues\": %llu, "
+      "\"mem_collectors\": %llu, \"mem_bytes\": %llu}\n",
       engine, nodes, shards, wall, static_cast<unsigned long long>(events),
       rate, err, static_cast<unsigned long long>(mem.client_bytes),
       static_cast<unsigned long long>(mem.link_bytes),
@@ -66,6 +67,8 @@ void print_row(const char* engine, int nodes, int shards, double wall,
       static_cast<unsigned long long>(mem.neighbor_bytes),
       static_cast<unsigned long long>(mem.snapshot_base_bytes),
       static_cast<unsigned long long>(mem.snapshot_delta_bytes),
+      static_cast<unsigned long long>(mem.queue_bytes),
+      static_cast<unsigned long long>(mem.collector_bytes),
       static_cast<unsigned long long>(mem.total()));
 }
 

@@ -112,12 +112,15 @@ void print_row(const std::string& scenario, int nodes, int shards,
       "  json: {\"scenario\": \"%s\", \"nodes\": %d, \"shards\": %d, "
       "\"rebalance\": %d, \"wall_s\": %.2f, \"events\": %llu, "
       "\"events_per_s\": %.0f, \"util_spread\": %.4f, \"migrated\": %llu, "
-      "\"rebalance_bytes\": %llu, \"mem_bytes\": %llu, \"median_err\": "
+      "\"rebalance_bytes\": %llu, \"queue_bytes\": %llu, "
+      "\"collector_bytes\": %llu, \"mem_bytes\": %llu, \"median_err\": "
       "%.4f}\n",
       scenario.c_str(), nodes, shards, rebalance_on, r.wall,
       static_cast<unsigned long long>(r.events), rate, r.spread,
       static_cast<unsigned long long>(r.migrated),
       static_cast<unsigned long long>(r.mem.rebalance_bytes),
+      static_cast<unsigned long long>(r.mem.queue_bytes),
+      static_cast<unsigned long long>(r.mem.collector_bytes),
       static_cast<unsigned long long>(r.mem.total()), r.median_err);
 }
 

@@ -4,7 +4,8 @@
 // The paper shows it performs WORSE than no filter on latency streams: the
 // heavy-tail outliers are not a trend to be tracked but impulses to discard,
 // and every outlier pollutes the average for ~1/alpha subsequent samples.
-// Kept as a faithful baseline for Table I.
+// Kept as a faithful baseline for Table I. A standalone owner of one row
+// over EwmaKernel (core/filter.hpp).
 #pragma once
 
 #include "core/filter.hpp"
@@ -14,22 +15,9 @@ namespace nc {
 class EwmaFilter final : public LatencyFilter {
  public:
   /// alpha in (0, 1]: weight of the newest observation.
-  explicit EwmaFilter(double alpha);
+  explicit EwmaFilter(double alpha) : LatencyFilter(FilterConfig::ewma(alpha)) {}
 
-  std::optional<double> update(double raw_ms) override;
-  [[nodiscard]] std::optional<double> estimate() const override;
-  void reset() override;
-  [[nodiscard]] std::unique_ptr<LatencyFilter> clone() const override;
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return sizeof(*this);
-  }
-
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool primed_ = false;
+  [[nodiscard]] double alpha() const noexcept { return config().ewma_alpha; }
 };
 
 }  // namespace nc

@@ -3,27 +3,28 @@
 #include <cstdio>
 
 #include "common/check.hpp"
-#include "core/filters/ewma_filter.hpp"
-#include "core/filters/identity_filter.hpp"
-#include "core/filters/mp_filter.hpp"
-#include "core/filters/threshold_filter.hpp"
 
 namespace nc {
 
-std::unique_ptr<LatencyFilter> FilterConfig::make() const {
+void FilterConfig::validate() const {
   switch (kind) {
     case FilterKind::kIdentity:
-      return std::make_unique<IdentityFilter>();
+      return;
     case FilterKind::kMovingPercentile:
-      return std::make_unique<MovingPercentileFilter>(mp_history, mp_percentile,
-                                                      mp_min_samples);
+      NC_CHECK_MSG(mp_history >= 1, "history must be >= 1");
+      NC_CHECK_MSG(mp_percentile >= 0.0 && mp_percentile <= 100.0,
+                   "percentile out of range");
+      NC_CHECK_MSG(mp_min_samples >= 1 && mp_min_samples <= mp_history,
+                   "min_samples must be in [1, history]");
+      return;
     case FilterKind::kEwma:
-      return std::make_unique<EwmaFilter>(ewma_alpha);
+      NC_CHECK_MSG(ewma_alpha > 0.0 && ewma_alpha <= 1.0, "alpha must be in (0,1]");
+      return;
     case FilterKind::kThreshold:
-      return std::make_unique<ThresholdFilter>(threshold_ms);
+      NC_CHECK_MSG(threshold_ms > 0.0, "cutoff must be positive");
+      return;
   }
   NC_CHECK_MSG(false, "unknown filter kind");
-  return nullptr;
 }
 
 std::string FilterConfig::name() const {

@@ -1,13 +1,11 @@
-// Value-type filter configuration and factory.
+// Value-type filter configuration.
 //
-// Experiment configs carry a FilterConfig; every per-link filter instance is
-// stamped out with make(). Defaults are the paper's recommended MP(4, 25).
+// Experiment configs carry a FilterConfig; FilterKernel (core/filter.hpp)
+// turns it into the per-link row kernel every filter owner drives. Defaults
+// are the paper's recommended MP(4, 25).
 #pragma once
 
-#include <memory>
 #include <string>
-
-#include "core/filter.hpp"
 
 namespace nc {
 
@@ -32,7 +30,12 @@ struct FilterConfig {
   // Threshold parameter.
   double threshold_ms = 1000.0;
 
-  [[nodiscard]] std::unique_ptr<LatencyFilter> make() const;
+  /// Throws CheckError unless the selected kind's parameters are usable:
+  /// MP needs history >= 1, percentile in [0, 100] and min_samples in
+  /// [1, history]; EWMA needs alpha in (0, 1]; threshold needs a positive
+  /// cutoff. Allocates nothing on success, so owners call it at
+  /// construction, long before the first observation.
+  void validate() const;
   [[nodiscard]] std::string name() const;
 
   [[nodiscard]] static FilterConfig none();

@@ -1,5 +1,6 @@
 // Pass-through filter: raw samples go straight to Vivaldi ("No Filter" in
-// the paper's comparisons).
+// the paper's comparisons). A standalone owner of one row over
+// IdentityKernel (core/filter.hpp).
 #pragma once
 
 #include "core/filter.hpp"
@@ -8,33 +9,7 @@ namespace nc {
 
 class IdentityFilter final : public LatencyFilter {
  public:
-  std::optional<double> update(double raw_ms) override {
-    last_ = raw_ms;
-    primed_ = true;
-    return raw_ms;
-  }
-
-  [[nodiscard]] std::optional<double> estimate() const override {
-    if (!primed_) return std::nullopt;
-    return last_;
-  }
-
-  void reset() override {
-    primed_ = false;
-    last_ = 0.0;
-  }
-
-  [[nodiscard]] std::unique_ptr<LatencyFilter> clone() const override {
-    return std::make_unique<IdentityFilter>();
-  }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return sizeof(*this);
-  }
-
- private:
-  double last_ = 0.0;
-  bool primed_ = false;
+  IdentityFilter() : LatencyFilter(FilterConfig::none()) {}
 };
 
 }  // namespace nc

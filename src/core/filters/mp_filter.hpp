@@ -9,9 +9,10 @@
 // `min_samples` withholds output until that many samples have been seen,
 // fixing the first-sample pathology of Sec. VI (an extreme outlier arriving
 // first on a link otherwise passes straight through the filter).
+//
+// A standalone owner of one row over MpKernel (core/filter.hpp), the same
+// kernel NCClient drives over its slab rows.
 #pragma once
-
-#include <vector>
 
 #include "core/filter.hpp"
 
@@ -20,29 +21,13 @@ namespace nc {
 class MovingPercentileFilter final : public LatencyFilter {
  public:
   /// history >= 1; percentile in [0,100]; 1 <= min_samples <= history.
-  MovingPercentileFilter(int history, double percentile, int min_samples = 1);
+  MovingPercentileFilter(int history, double percentile, int min_samples = 1)
+      : LatencyFilter(
+            FilterConfig::moving_percentile(history, percentile, min_samples)) {}
 
-  std::optional<double> update(double raw_ms) override;
-  [[nodiscard]] std::optional<double> estimate() const override;
-  void reset() override;
-  [[nodiscard]] std::unique_ptr<LatencyFilter> clone() const override;
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return sizeof(*this) +
-           (window_.capacity() + sorted_.capacity()) * sizeof(double);
-  }
-
-  [[nodiscard]] int history() const noexcept { return history_; }
-  [[nodiscard]] double percentile() const noexcept { return percentile_; }
-  [[nodiscard]] int min_samples() const noexcept { return min_samples_; }
-  [[nodiscard]] int size() const noexcept { return static_cast<int>(window_.size()); }
-
- private:
-  int history_;
-  double percentile_;
-  int min_samples_;
-  std::vector<double> window_;  // chronological ring (oldest at head_)
-  std::size_t head_ = 0;        // index of the oldest element once full
-  std::vector<double> sorted_;  // same elements, ascending
+  [[nodiscard]] int history() const noexcept { return config().mp_history; }
+  [[nodiscard]] double percentile() const noexcept { return config().mp_percentile; }
+  [[nodiscard]] int min_samples() const noexcept { return config().mp_min_samples; }
 };
 
 }  // namespace nc

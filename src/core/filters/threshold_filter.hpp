@@ -3,7 +3,8 @@
 // Drops any sample above a global cutoff. Stateless and simple, but a single
 // cutoff cannot fit every link: a value that trims the global tail does
 // nothing for a 30 ms link whose own outliers sit at 300 ms. Kept as the
-// baseline the paper rejects.
+// baseline the paper rejects. A standalone owner of one row over
+// ThresholdKernel (core/filter.hpp).
 #pragma once
 
 #include "core/filter.hpp"
@@ -13,22 +14,10 @@ namespace nc {
 class ThresholdFilter final : public LatencyFilter {
  public:
   /// Samples strictly above cutoff_ms are rejected (update returns nullopt).
-  explicit ThresholdFilter(double cutoff_ms);
+  explicit ThresholdFilter(double cutoff_ms)
+      : LatencyFilter(FilterConfig::threshold(cutoff_ms)) {}
 
-  std::optional<double> update(double raw_ms) override;
-  [[nodiscard]] std::optional<double> estimate() const override;
-  void reset() override;
-  [[nodiscard]] std::unique_ptr<LatencyFilter> clone() const override;
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    return sizeof(*this);
-  }
-
-  [[nodiscard]] double cutoff_ms() const noexcept { return cutoff_ms_; }
-
- private:
-  double cutoff_ms_;
-  double last_accepted_ = 0.0;
-  bool primed_ = false;
+  [[nodiscard]] double cutoff_ms() const noexcept { return config().threshold_ms; }
 };
 
 }  // namespace nc

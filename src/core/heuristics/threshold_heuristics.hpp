@@ -58,6 +58,9 @@ class ApplicationCentroidHeuristic final : public UpdateHeuristic {
   bool on_system_update(const UpdateContext& ctx, Coordinate& app) override;
   void reset() override;
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t window_bytes() const noexcept override {
+    return recent_.size() * sizeof(Vec);
+  }
 
  private:
   double tau_ms_;

@@ -7,6 +7,7 @@
 // the application coordinate is updated.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "core/coordinate.hpp"
@@ -38,6 +39,11 @@ class UpdateHeuristic {
   virtual void reset() = 0;
 
   [[nodiscard]] virtual std::unique_ptr<UpdateHeuristic> clone() const = 0;
+
+  /// Heap bytes the heuristic's windows hold (deques count their live
+  /// elements), for the owning client's memory budget. Windowless
+  /// heuristics hold none.
+  [[nodiscard]] virtual std::size_t window_bytes() const noexcept { return 0; }
 
  protected:
   UpdateHeuristic() = default;

@@ -40,6 +40,9 @@ class WindowedHeuristic : public UpdateHeuristic {
   }
   /// Number of change points declared so far.
   [[nodiscard]] std::uint64_t change_points() const noexcept { return change_points_; }
+  [[nodiscard]] std::size_t window_bytes() const noexcept override {
+    return (start_.capacity() + current_.size()) * sizeof(Vec);
+  }
 
  protected:
   explicit WindowedHeuristic(int window);
@@ -87,6 +90,9 @@ class EnergyHeuristic final : public WindowedHeuristic {
   /// tau: energy-distance threshold (paper sweeps 1-256; knee at 8).
   EnergyHeuristic(double tau, int window);
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t window_bytes() const noexcept override {
+    return WindowedHeuristic::window_bytes() + energy_.memory_bytes();
+  }
 
  private:
   bool windows_differ(const UpdateContext& ctx) override;
@@ -112,6 +118,10 @@ class RankSumHeuristic final : public WindowedHeuristic {
   /// (smaller alpha => fewer updates).
   RankSumHeuristic(double alpha, int window);
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t window_bytes() const noexcept override {
+    return WindowedHeuristic::window_bytes() +
+           (start_dists_.capacity() + current_dists_.size()) * sizeof(double);
+  }
 
  private:
   bool windows_differ(const UpdateContext& ctx) override;

@@ -1,5 +1,7 @@
 #include "core/nc_client.hpp"
 
+#include <new>
+
 #include "common/check.hpp"
 
 namespace nc {
@@ -7,40 +9,35 @@ namespace nc {
 NCClient::NCClient(NodeId id, const NCClientConfig& config)
     : id_(id),
       config_(config),
+      filter_(config.filter),
+      row_bytes_(sizeof(LinkHeader) + filter_.row_doubles() * sizeof(double)),
       vivaldi_(config.vivaldi, static_cast<std::uint64_t>(id)),
       heuristic_(config.heuristic.make()) {}
 
-NCClient::LinkState& NCClient::link_for(NodeId remote, double now_s) {
+std::uint32_t NCClient::link_for(NodeId remote) {
   const auto rid = static_cast<std::uint32_t>(remote);
-  if (const auto slot = slot_of_.find(rid); slot.has_value())
-    return slab_[*slot];
+  if (const auto slot = slot_of_.find(rid); slot.has_value()) return *slot;
 
-  // First contact (or re-contact after eviction): claim a slab slot.
+  // First contact (or re-contact after eviction): claim a slab row.
   if (config_.max_tracked_links > 0 &&
       active_links_ >= config_.max_tracked_links) {
     evict_one_link();
   }
   std::uint32_t idx;
   if (!free_slots_.empty()) {
-    // Reuse the parked slot: reset its filter instead of allocating a fresh
-    // one — a reset filter is behaviorally identical to a clone()d one
-    // (pinned by NCClient.SlabLinkStateMatchesMapReference).
     idx = free_slots_.back();
     free_slots_.pop_back();
-    LinkState& s = slab_[idx];
-    s.filter->reset();
-    s.last_coord = Coordinate{};
   } else {
-    slab_.push_back(LinkState{config_.filter.make(), {}, 0.0, kInvalidNode, 0});
-    idx = static_cast<std::uint32_t>(slab_.size() - 1);
+    idx = static_cast<std::uint32_t>(slab_slots());
+    slab_.resize(slab_.size() + row_bytes_);
   }
-  LinkState& s = slab_[idx];
-  s.remote = remote;
-  s.last_seen_s = now_s;
-  s.ref = 1;
+  // An empty FilterState is a fresh filter whatever the row held before —
+  // pinned against fresh standalone filters by
+  // NCClient.SlabLinkStateMatchesClockHandReference.
+  ::new (row(idx)) LinkHeader{remote, 1, FilterState{}};
   slot_of_.insert(rid, idx);
   ++active_links_;
-  return s;
+  return idx;
 }
 
 void NCClient::evict_one_link() {
@@ -51,10 +48,11 @@ void NCClient::evict_one_link() {
   // bound the loop: after one pass every ref bit is clear, so the second
   // pass must evict (the slab holds at least one active slot here).
   if (active_links_ == 0) return;
-  for (std::size_t step = 0; step < 2 * slab_.size(); ++step) {
-    if (clock_hand_ >= slab_.size()) clock_hand_ = 0;
-    LinkState& s = slab_[clock_hand_++];
-    if (s.remote == kInvalidNode) continue;  // parked slot
+  const std::size_t slots = slab_slots();
+  for (std::size_t step = 0; step < 2 * slots; ++step) {
+    if (clock_hand_ >= slots) clock_hand_ = 0;
+    LinkHeader& s = header(clock_hand_++);
+    if (s.remote == kInvalidNode) continue;  // free slot
     if (s.ref != 0) {
       s.ref = 0;  // second chance
       continue;
@@ -80,12 +78,11 @@ ObservationOutcome NCClient::observe(NodeId remote, const Coordinate& remote_coo
   ++observations_;
 
   ObservationOutcome out;
-  LinkState& link = link_for(remote, now_s);
-  link.last_coord = remote_coord;
-  link.last_seen_s = now_s;
+  const std::uint32_t slot = link_for(remote);
+  LinkHeader& link = header(slot);
   link.ref = 1;
 
-  out.filtered_rtt_ms = link.filter->update(raw_rtt_ms);
+  out.filtered_rtt_ms = filter_.update(link.filter, filter_row(slot), raw_rtt_ms);
   if (!out.filtered_rtt_ms.has_value()) {
     ++absorbed_;
     return out;
@@ -135,14 +132,9 @@ ObservationOutcome NCClient::observe(NodeId remote, const Coordinate& remote_coo
 }
 
 std::size_t NCClient::memory_bytes() const noexcept {
-  std::size_t bytes = sizeof(*this) + slab_.capacity() * sizeof(LinkState) +
-                      slot_of_.memory_bytes() +
-                      free_slots_.capacity() * sizeof(std::uint32_t);
-  // Parked filters stay allocated (that is the point of the pool), so every
-  // slab slot's filter counts whether or not a remote occupies it.
-  for (const LinkState& s : slab_)
-    if (s.filter) bytes += s.filter->memory_bytes();
-  return bytes;
+  return sizeof(*this) + slab_.capacity() + slot_of_.memory_bytes() +
+         free_slots_.capacity() * sizeof(std::uint32_t) +
+         heuristic_->window_bytes();
 }
 
 }  // namespace nc

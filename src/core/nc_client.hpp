@@ -3,7 +3,7 @@
 // coordinate plus a continuously-evolving system coordinate come out.
 //
 // Pipeline per observation of remote node j:
-//   raw rtt --(per-link LatencyFilter)--> filtered rtt
+//   raw rtt --(link j's filter row)----> filtered rtt
 //           --(Vivaldi update)----------> system coordinate c_s
 //           --(UpdateHeuristic)---------> application coordinate c_a
 //
@@ -16,12 +16,14 @@
 // first unreferenced link it finds — O(1) amortized instead of the
 // O(max_tracked_links) oldest-timestamp scan it replaces.
 //
-// Per-link state is SLAB-allocated (PR 5): a remote-id -> slot index
-// replaces the per-observation hash lookup that topped the profile
-// (~16% of an online run, find + first-contact filter allocation in
-// link_for), and evicted slots return their filter instance to a per-client
-// pool (reset, not destroyed), so steady-state neighbor churn allocates
-// nothing.
+// Per-link state is one fixed-stride SLAB ROW per tracked link: a header
+// (remote id, reference bit, the filter's count and cursor) followed by the
+// filter kernel's doubles — for the paper's MP(4, 25) the 4-sample ring and
+// its sorted copy, 80 bytes in all. The client holds one FilterKernel, built
+// and validated from the config at construction, and drives it over the
+// row; nothing is allocated per link. An evicted row's slot goes on a free
+// list and the next first contact re-initializes it in place, so once the
+// slab has grown to the link cap, neighbor churn allocates nothing.
 //
 // The index itself is COMPACT (PR 7): a CompactSlotIndex bounded by the
 // live link count instead of the dense array that grew to the largest
@@ -32,13 +34,15 @@
 // slab it points into.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/compact_index.hpp"
 #include "core/coordinate.hpp"
-#include "core/filters/filter_config.hpp"
+#include "core/filter.hpp"
 #include "core/heuristics/heuristic_config.hpp"
 #include "core/node_id.hpp"
 #include "core/vivaldi.hpp"
@@ -72,6 +76,8 @@ struct ObservationOutcome {
 
 class NCClient {
  public:
+  /// Throws CheckError on an unusable filter config (FilterConfig::validate)
+  /// — here, not at the first observation.
   NCClient(NodeId id, const NCClientConfig& config);
 
   /// Feeds one latency observation of `remote` (its advertised coordinate
@@ -114,48 +120,67 @@ class NCClient {
   [[nodiscard]] std::uint64_t absorbed_sample_count() const noexcept { return absorbed_; }
   [[nodiscard]] std::size_t tracked_link_count() const noexcept { return active_links_; }
   [[nodiscard]] std::uint64_t evicted_link_count() const noexcept { return evictions_; }
-  /// Filter instances parked in the reuse pool (free slab slots).
-  [[nodiscard]] std::size_t pooled_filter_count() const noexcept {
-    return free_slots_.size();
-  }
+  /// Start of the slab's row storage. Stays put once the slab has grown to
+  /// the link cap: evicted rows are re-initialized in place.
+  [[nodiscard]] const void* link_rows() const noexcept { return slab_.data(); }
 
   [[nodiscard]] const NCClientConfig& config() const noexcept { return config_; }
 
-  /// Bytes of per-client state (slab + filters + id maps), for the per-run
-  /// memory budget report.
+  /// Bytes of per-client state (object + slab rows + id index + free list
+  /// + the heuristic's windows), for the per-run memory budget report.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  struct LinkState {
-    std::unique_ptr<LatencyFilter> filter;
-    Coordinate last_coord;
-    double last_seen_s = 0.0;
-    /// Which remote occupies this slab slot; kInvalidNode = free (filter
-    /// parked for reuse).
+  /// Head of one slab row; the filter kernel's row_doubles() follow it.
+  struct LinkHeader {
+    /// Which remote occupies this row; kInvalidNode = free slot.
     NodeId remote = kInvalidNode;
     /// Second-chance reference bit: set on every observation of the link,
     /// cleared as the eviction hand sweeps past.
     std::uint8_t ref = 0;
+    FilterState filter;
   };
+  static_assert(sizeof(LinkHeader) % alignof(double) == 0,
+                "the filter's doubles follow the header unpadded");
 
-  LinkState& link_for(NodeId remote, double now_s);
+  /// Slot of `remote`'s row, claiming (and initializing) one on first
+  /// contact.
+  std::uint32_t link_for(NodeId remote);
   void evict_one_link();
+  [[nodiscard]] std::size_t slab_slots() const noexcept {
+    return slab_.size() / row_bytes_;
+  }
+  [[nodiscard]] std::byte* row(std::size_t slot) noexcept {
+    return slab_.data() + slot * row_bytes_;
+  }
+  [[nodiscard]] LinkHeader& header(std::size_t slot) noexcept {
+    return *reinterpret_cast<LinkHeader*>(row(slot));
+  }
+  [[nodiscard]] double* filter_row(std::size_t slot) noexcept {
+    return reinterpret_cast<double*>(row(slot) + sizeof(LinkHeader));
+  }
 
   NodeId id_;
   NCClientConfig config_;
+  FilterKernel filter_;
+  /// Bytes per slab row: the header plus the kernel's doubles.
+  std::size_t row_bytes_;
   Vivaldi vivaldi_;
   std::unique_ptr<UpdateHeuristic> heuristic_;
   Coordinate app_coord_;
   double app_error_ = 1.0;  // error_estimate() at the last app update
   bool app_initialized_ = false;
 
-  /// Slab of link states; active count bounded by max_tracked_links.
-  std::vector<LinkState> slab_;
+  /// Fixed-stride link rows; active count bounded by max_tracked_links.
+  /// The allocator's byte storage is aligned for the header and the
+  /// doubles each row holds (rows are multiples of 8 bytes), and a row is
+  /// only ever accessed as those two types.
+  std::vector<std::byte> slab_;
   /// remote id -> slab slot, bounded by the live link count (eviction
   /// erases its entry) — O(max_tracked_links) bytes regardless of how many
   /// distinct remotes the client ever hears about.
   CompactSlotIndex slot_of_;
-  /// Recycled slab slots, filters parked inside (reset on reuse).
+  /// Evicted rows, reclaimed LIFO by the next first contacts.
   std::vector<std::uint32_t> free_slots_;
   /// Clock-hand position of the second-chance eviction sweep.
   std::size_t clock_hand_ = 0;

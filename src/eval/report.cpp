@@ -158,7 +158,9 @@ void print_memory_budget(std::ostream& os, const ScenarioOutput& out) {
   os << "memory budget: clients=" << fmt_bytes(m.client_bytes)
      << " links=" << fmt_bytes(m.link_bytes)
      << " estimator=" << fmt_bytes(m.estimator_bytes)
-     << " mailbox=" << fmt_bytes(m.mailbox_bytes);
+     << " mailbox=" << fmt_bytes(m.mailbox_bytes)
+     << " queues=" << fmt_bytes(m.queue_bytes)
+     << " collectors=" << fmt_bytes(m.collector_bytes);
   if (m.neighbor_bytes > 0)
     os << " neighbors=" << fmt_bytes(m.neighbor_bytes);
   if (m.snapshot_bytes() > 0) {

@@ -45,6 +45,27 @@ MetricsCollector::MetricsCollector(const MetricsConfig& config) : config_(config
   }
 }
 
+std::size_t MetricsCollector::memory_bytes() const noexcept {
+  const auto bytes_of = [](const auto& v) noexcept {
+    return v.capacity() * sizeof(v[0]);
+  };
+  std::size_t bytes = sizeof(*this) + bytes_of(config_.tracked_nodes) +
+                      bytes_of(node_errors_) + bytes_of(node_oracle_median_) +
+                      bytes_of(node_oracle_count_) + bytes_of(dst_median_) +
+                      bytes_of(dst_count_) + bytes_of(app_move_per_sec_) +
+                      bytes_of(sys_move_per_sec_) +
+                      bytes_of(node_current_second_) +
+                      bytes_of(node_second_movements_) +
+                      bytes_of(updating_nodes_per_sec_) +
+                      bytes_of(node_last_update_sec_) + bytes_of(drift_) +
+                      bytes_of(drift_tracked_);
+  for (const auto& v : node_errors_) bytes += bytes_of(v);
+  for (const auto& v : node_second_movements_) bytes += bytes_of(v);
+  for (const auto& v : drift_) bytes += bytes_of(v);
+  if (ts_errors_) bytes += ts_errors_->memory_bytes();
+  return bytes;
+}
+
 std::size_t MetricsCollector::second_index(double t) const noexcept {
   const auto idx = static_cast<std::size_t>(std::max(0.0, std::floor(t)));
   return std::min(idx, app_move_per_sec_.size() - 1);

@@ -212,6 +212,10 @@ class MetricsCollector {
   [[nodiscard]] std::uint64_t observation_count() const noexcept { return observations_; }
   [[nodiscard]] const MetricsConfig& config() const noexcept { return config_; }
 
+  /// Heap bytes held (object, per-node and per-second stores, drift series,
+  /// bucketed error series), for the engine's MemoryBudget.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
   /// Capacity of one node's per-second movement store (tests pin the
   /// no-reallocation-in-steady-state contract through this).
   [[nodiscard]] std::size_t node_movement_capacity(NodeId node) const {

@@ -18,10 +18,18 @@
 // sorted, by the SENDER, when it seals its outboxes at the end of its
 // processing phase. The merge writes into a per-receiver buffer that is
 // reused across epochs, so a steady-state epoch allocates nothing.
+//
+// The receiver turns its batch into ShardEvents and hands them to its
+// ShardEventQueue in one push_batch. There they wait in a sorted lane of
+// their own, beside the calendar that holds the shard's timers, so the
+// bytes a queue retains follow its pending events rather than every epoch
+// batch it has ever absorbed.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/check.hpp"
@@ -279,10 +287,23 @@ struct ShardEvent {
   double coord_err = 0.0;
 };
 
-/// The per-shard event queue: a calendar queue over the same canonical key
-/// the old binary heap used, so the pop order (and with it every metric) is
-/// unchanged. Epoch-clamped deliveries all land on one day bucket already in
-/// canonical order, so the common insert is a single back-compare append.
+/// The per-shard event queue: two sorted stores under one canonical key, so
+/// the pop order (and with it every metric) is that of a single priority
+/// queue over both.
+///  * The LANE holds delivered events. Each epoch's batch arrives in one
+///    push_batch, is sorted once and becomes the lane; pops consume it as a
+///    prefix. A lane drained by the epoch's processing simply trades buffers
+///    with the caller's staging vector; one with an unconsumed tail (a pong
+///    due past the epoch end, a migrated node's far-future event) is merged
+///    with the new batch into a spare buffer that then trades places with
+///    it.
+///  * The CALENDAR (calendar_queue.hpp) holds what push() schedules: ping
+///    timers and track ticks.
+/// pop() takes the smaller head by Ops::less, a total order. Retained bytes
+/// therefore follow the pending high-water mark — the lane, its spare and
+/// the caller's staging vector each hold at most one epoch's deliveries plus
+/// a tail, and the calendar's pool at most the pending timers — and a
+/// steady-state epoch allocates nothing once those buffers are warm.
 class ShardEventQueue {
  public:
   void push(ShardEvent ev) { calendar_.push(std::move(ev)); }
@@ -290,36 +311,72 @@ class ShardEventQueue {
   /// Bulk insert of one epoch's delivered events: sorts `batch` by the
   /// canonical key (clamping to the epoch start permutes delivery order, so
   /// the merge order does not survive translation into processing keys) and
-  /// merges it into the calendar bucket by bucket — one linear pass instead
-  /// of one sorted insertion per event. `batch` is caller-owned scratch,
-  /// reused across epochs; its contents are consumed.
+  /// makes it the lane, merged with any unconsumed lane tail. `batch` is
+  /// caller-owned scratch, reused across epochs; it comes back empty, holding
+  /// a buffer the lane no longer needs.
   void push_batch(std::vector<ShardEvent>& batch) {
     std::sort(batch.begin(), batch.end(), &Ops::less);
-    calendar_.push_sorted_run(batch.begin(), batch.end());
-    batch.clear();
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_.swap(batch);
+    } else {
+      spare_.clear();
+      spare_.reserve(lane_.size() - lane_head_ + batch.size());
+      std::merge(std::make_move_iterator(lane_.begin() +
+                                         static_cast<std::ptrdiff_t>(lane_head_)),
+                 std::make_move_iterator(lane_.end()),
+                 std::make_move_iterator(batch.begin()),
+                 std::make_move_iterator(batch.end()),
+                 std::back_inserter(spare_), &Ops::less);
+      lane_.swap(spare_);
+      spare_.clear();
+      batch.clear();
+    }
+    lane_head_ = 0;
   }
 
   [[nodiscard]] bool has_event_before(double t_end) {
-    const ShardEvent* head = calendar_.peek();
+    const ShardEvent* head = peek();
     return head != nullptr && head->t < t_end;
   }
 
-  [[nodiscard]] ShardEvent pop() { return calendar_.pop(); }
+  /// Removes and returns the earliest event. Precondition: !empty().
+  [[nodiscard]] ShardEvent pop() {
+    const ShardEvent* head = peek();
+    if (lane_head_ < lane_.size() && head == &lane_[lane_head_])
+      return std::move(lane_[lane_head_++]);
+    return calendar_.pop();
+  }
 
-  /// Removes every pending event owned by `node` (ev.a == node) and appends
-  /// them to `out` in canonical Ops::less order — the packing step of
-  /// ownership migration. The new owner replays them through push_batch, so
-  /// they land in its calendar exactly as if delivered there originally.
+  /// Removes every pending event owned by `node` (ev.a == node), from lane
+  /// and calendar alike, and appends them to `out` in canonical Ops::less
+  /// order — the packing step of ownership migration. The new owner replays
+  /// them through push_batch, so they land in its lane exactly as if
+  /// delivered there originally.
   void extract_node_events(NodeId node, std::vector<ShardEvent>& out) {
     const std::size_t start = out.size();
-    calendar_.extract_if([node](const ShardEvent& ev) { return ev.a == node; },
-                         out);
+    const auto owned = [node](const ShardEvent& ev) { return ev.a == node; };
+    const auto pending = lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_);
+    std::copy_if(pending, lane_.end(), std::back_inserter(out), owned);
+    lane_.erase(std::remove_if(pending, lane_.end(), owned), lane_.end());
+    calendar_.extract_if(owned, out);
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
               &Ops::less);
   }
 
-  [[nodiscard]] bool empty() const noexcept { return calendar_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return calendar_.size(); }
+  [[nodiscard]] bool empty() const noexcept {
+    return lane_head_ == lane_.size() && calendar_.empty();
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return lane_.size() - lane_head_ + calendar_.size();
+  }
+
+  /// Heap bytes retained: the calendar's, plus the lane and its spare
+  /// (capacity, not size).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return calendar_.memory_bytes() +
+           (lane_.capacity() + spare_.capacity()) * sizeof(ShardEvent);
+  }
 
  private:
   struct Ops {
@@ -334,7 +391,21 @@ class ShardEventQueue {
     }
   };
 
+  /// Earliest pending event by Ops::less, or nullptr when empty.
+  [[nodiscard]] const ShardEvent* peek() {
+    const ShardEvent* timer = calendar_.peek();
+    if (lane_head_ == lane_.size()) return timer;
+    const ShardEvent* delivered = &lane_[lane_head_];
+    return timer == nullptr || Ops::less(*delivered, *timer) ? delivered : timer;
+  }
+
   CalendarQueue<ShardEvent, Ops> calendar_;
+  /// Delivered events, sorted; [0, lane_head_) consumed.
+  std::vector<ShardEvent> lane_;
+  std::size_t lane_head_ = 0;
+  /// Merge target when a lane tail meets a new batch; trades places with
+  /// lane_.
+  std::vector<ShardEvent> spare_;
 };
 
 }  // namespace nc::sim

@@ -354,9 +354,9 @@ void ShardedEngine::deliver_batch(Shard& shard, int shard_idx,
     shard.staging.push_back(std::move(ev));
   }
   // One bulk hand-off: push_batch sorts the staged events by the canonical
-  // processing key and merges them into the calendar in one pass per
-  // bucket. Thousands of deliveries share the exact clamped epoch-start
-  // time, so per-event insertion would pay a bucket-tail memmove each.
+  // processing key once and makes them the queue's delivered lane.
+  // Thousands of deliveries share the exact clamped epoch-start time, so
+  // per-event insertion would pay a sorted-insert memmove each.
   shard.queue.push_batch(shard.staging);
 }
 
@@ -950,6 +950,10 @@ MemoryBudget ShardedEngine::memory_budget() const {
   for (const Shard& shard : shards_) {
     b.link_bytes += shard.links.memory_bytes();
     b.estimator_bytes += shard.estimator->stats().memory_bytes;
+    b.queue_bytes += shard.queue.memory_bytes() +
+                     shard.inbox.capacity() * sizeof(ShardMessage) +
+                     shard.staging.capacity() * sizeof(ShardEvent);
+    b.collector_bytes += shard.collector->memory_bytes();
   }
   b.mailbox_bytes = mailbox_.memory_bytes();
   for (const NeighborSet& ns : neighbors_)  // empty in replay mode

@@ -53,10 +53,11 @@
 //    MetricsCollector and merged associatively (MetricsCollector::merge).
 //
 // The steady-state event loop is allocation-free (DESIGN.md "Event core"):
-// per-shard calendar queues replace binary heaps, delivery batches are
-// k-way merges into buffers reused across epochs, and per-link latency
-// state lives in a per-row sparse ShardLinkStore that holds only the links
-// a run touches (common/link_store.hpp).
+// per-shard calendar queues hold the timers, delivery batches are k-way
+// merges into buffers reused across epochs that then wait in the queue's
+// sorted lane, and per-link latency state lives in a per-row sparse
+// ShardLinkStore that holds only the links a run touches
+// (common/link_store.hpp).
 //
 // Protocol semantics are declared per mode: messages cross the network at
 // epoch granularity (a ping sent in epoch k is answered in epoch k+1 and
@@ -203,7 +204,7 @@ struct ReplayConfig {
 /// Per-run byte accounting of the engine's big state blocks (surfaced in
 /// eval reports and BENCH rows; fields are heap bytes held at query time).
 struct MemoryBudget {
-  std::uint64_t client_bytes = 0;     // NCClient slabs: link state + filters
+  std::uint64_t client_bytes = 0;     // NCClients: link rows + heuristic windows
   std::uint64_t link_bytes = 0;       // per-shard directed-link stores
   std::uint64_t estimator_bytes = 0;  // backend state (matrix/coordinates)
   std::uint64_t mailbox_bytes = 0;    // epoch mailbox runs + merge scratch
@@ -221,6 +222,13 @@ struct MemoryBudget {
   /// Dynamic-ownership state: routing tables, per-node weights, and the
   /// high-water mark of migration payloads staged at one rebalance barrier.
   std::uint64_t rebalance_bytes = 0;
+  /// Per-shard event queues (calendar buckets and scratch, the delivered
+  /// lane and its spare) plus each shard's delivery inbox and staging
+  /// buffer.
+  std::uint64_t queue_bytes = 0;
+  /// Per-shard MetricsCollectors: per-node error and movement stores, the
+  /// per-second series, drift series and the bucketed error time series.
+  std::uint64_t collector_bytes = 0;
   /// Both snapshot sides, for callers that only care about the block total.
   [[nodiscard]] std::uint64_t snapshot_bytes() const noexcept {
     return snapshot_base_bytes + snapshot_delta_bytes;
@@ -228,7 +236,7 @@ struct MemoryBudget {
   [[nodiscard]] std::uint64_t total() const noexcept {
     return client_bytes + link_bytes + estimator_bytes + mailbox_bytes +
            neighbor_bytes + snapshot_base_bytes + snapshot_delta_bytes +
-           rebalance_bytes;
+           rebalance_bytes + queue_bytes + collector_bytes;
   }
 };
 

@@ -45,6 +45,11 @@ class IncrementalEnergy {
   /// Current e(A, B); requires both samples non-empty.
   [[nodiscard]] double value() const;
 
+  /// Heap bytes of both samples (B counts its live elements).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return (a_.capacity() + b_.size()) * sizeof(Vec);
+  }
+
  private:
   std::vector<Vec> a_;
   std::deque<Vec> b_;

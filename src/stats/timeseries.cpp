@@ -48,6 +48,16 @@ void BucketedValues::add(double t, double v) {
   buckets_[bucket_of(t, width_)].push_back(v);
 }
 
+std::size_t BucketedValues::memory_bytes() const noexcept {
+  // A red-black tree node carries three links and a color word beside the
+  // stored pair.
+  constexpr std::size_t kNodeBytes =
+      4 * sizeof(void*) + sizeof(decltype(buckets_)::value_type);
+  std::size_t bytes = buckets_.size() * kNodeBytes;
+  for (const auto& [b, vs] : buckets_) bytes += vs.capacity() * sizeof(double);
+  return bytes;
+}
+
 void BucketedValues::merge(const BucketedValues& other) {
   NC_CHECK_MSG(width_ == other.width_, "bucket width mismatch");
   for (const auto& [b, vs] : other.buckets_) {

@@ -60,6 +60,9 @@ class BucketedValues {
   [[nodiscard]] double bucket_width() const noexcept { return width_; }
   [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
+  /// Heap bytes held: one map node per bucket plus its values' capacity.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
  private:
   double width_;
   std::map<std::int64_t, std::vector<double>> buckets_;

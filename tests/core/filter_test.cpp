@@ -85,15 +85,19 @@ TEST(MpFilter, ResetClearsWindow) {
 }
 
 TEST(MpFilter, CloneIsFreshWithSameParameters) {
+  // clone() is gone: a filter built from another's config() is its
+  // replacement — same parameters, empty row.
   MovingPercentileFilter f(8, 30.0, 3);
   f.update(1.0);
-  const auto c = f.clone();
-  auto* mp = dynamic_cast<MovingPercentileFilter*>(c.get());
-  ASSERT_NE(mp, nullptr);
-  EXPECT_EQ(mp->history(), 8);
-  EXPECT_EQ(mp->percentile(), 30.0);
-  EXPECT_EQ(mp->min_samples(), 3);
-  EXPECT_EQ(mp->size(), 0);  // fresh history
+  const LatencyFilter c(f.config());
+  EXPECT_EQ(c.config().mp_history, 8);
+  EXPECT_EQ(c.config().mp_percentile, 30.0);
+  EXPECT_EQ(c.config().mp_min_samples, 3);
+  EXPECT_EQ(c.size(), 0);  // fresh history
+  EXPECT_EQ(f.history(), 8);
+  EXPECT_EQ(f.percentile(), 30.0);
+  EXPECT_EQ(f.min_samples(), 3);
+  EXPECT_EQ(f.size(), 1);
 }
 
 TEST(MpFilter, HistoryOneEvictionStaysConsistent) {
@@ -206,8 +210,10 @@ TEST(EwmaFilter, ResetAndClone) {
   f.update(10.0);
   f.reset();
   EXPECT_EQ(f.estimate(), std::nullopt);
-  const auto c = f.clone();
-  EXPECT_EQ(dynamic_cast<EwmaFilter*>(c.get())->alpha(), 0.3);
+  EXPECT_EQ(f.update(50.0), 50.0);  // re-primes from the raw sample
+  // A filter built from the config (clone()'s replacement) keeps alpha.
+  EXPECT_EQ(LatencyFilter(f.config()).config().ewma_alpha, 0.3);
+  EXPECT_EQ(f.alpha(), 0.3);
 }
 
 // ------------------------------------------------------------ Threshold --
@@ -246,22 +252,53 @@ TEST(IdentityFilter, PassThrough) {
 // --------------------------------------------------------------- Config --
 
 TEST(FilterConfig, FactoryProducesConfiguredKind) {
-  EXPECT_NE(dynamic_cast<IdentityFilter*>(FilterConfig::none().make().get()), nullptr);
-  EXPECT_NE(dynamic_cast<MovingPercentileFilter*>(
-                FilterConfig::moving_percentile(4, 25).make().get()),
-            nullptr);
-  EXPECT_NE(dynamic_cast<EwmaFilter*>(FilterConfig::ewma(0.1).make().get()), nullptr);
-  EXPECT_NE(dynamic_cast<ThresholdFilter*>(FilterConfig::threshold(500).make().get()),
-            nullptr);
+  // MP keeps its ring and the ring's sorted copy; the others one value.
+  EXPECT_EQ(FilterKernel(FilterConfig::none()).row_doubles(), 1u);
+  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(4, 25)).row_doubles(), 8u);
+  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(128, 25)).row_doubles(), 256u);
+  EXPECT_EQ(FilterKernel(FilterConfig::ewma(0.1)).row_doubles(), 1u);
+  EXPECT_EQ(FilterKernel(FilterConfig::threshold(500)).row_doubles(), 1u);
+  // The named owners select their kind's kernel.
+  EXPECT_EQ(IdentityFilter().config().kind, FilterKind::kIdentity);
+  EXPECT_EQ(MovingPercentileFilter(4, 25).config().kind,
+            FilterKind::kMovingPercentile);
+  EXPECT_EQ(EwmaFilter(0.1).config().kind, FilterKind::kEwma);
+  EXPECT_EQ(ThresholdFilter(500).config().kind, FilterKind::kThreshold);
 }
 
 TEST(FilterConfig, DefaultIsPaperMp425) {
   const FilterConfig c;
-  auto f = c.make();
-  auto* mp = dynamic_cast<MovingPercentileFilter*>(f.get());
-  ASSERT_NE(mp, nullptr);
-  EXPECT_EQ(mp->history(), 4);
-  EXPECT_EQ(mp->percentile(), 25.0);
+  EXPECT_EQ(c.kind, FilterKind::kMovingPercentile);
+  EXPECT_EQ(c.mp_history, 4);
+  EXPECT_EQ(c.mp_percentile, 25.0);
+  LatencyFilter f(c);
+  for (double v : {100.0, 50.0, 200.0, 80.0}) f.update(v);
+  EXPECT_EQ(f.update(300.0), 50.0);  // min of the last four
+}
+
+TEST(FilterConfig, ValidateRejectsBadParametersOfTheSelectedKind) {
+  const FilterConfig bad[] = {
+      FilterConfig::moving_percentile(0, 25.0),
+      FilterConfig::moving_percentile(4, -1.0),
+      FilterConfig::moving_percentile(4, 100.5),
+      FilterConfig::moving_percentile(4, 25.0, 0),
+      FilterConfig::moving_percentile(4, 25.0, 5),
+      FilterConfig::ewma(0.0),
+      FilterConfig::ewma(1.5),
+      FilterConfig::threshold(0.0),
+      FilterConfig::threshold(-5.0),
+  };
+  for (const FilterConfig& c : bad) {
+    EXPECT_THROW(c.validate(), CheckError) << c.name();
+    EXPECT_THROW(LatencyFilter{c}, CheckError) << c.name();
+  }
+  // Only the selected kind's parameters count.
+  FilterConfig ewma = FilterConfig::ewma(0.5);
+  ewma.mp_history = 0;
+  EXPECT_NO_THROW(ewma.validate());
+  EXPECT_NO_THROW(FilterConfig::moving_percentile(1, 0.0).validate());
+  EXPECT_NO_THROW(FilterConfig::moving_percentile(4, 100.0, 4).validate());
+  EXPECT_NO_THROW(FilterConfig::ewma(1.0).validate());
 }
 
 TEST(FilterConfig, Names) {

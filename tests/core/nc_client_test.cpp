@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -117,9 +116,10 @@ TEST(NCClient, UnboundedWhenCapIsZero) {
 // contact sequence. The reference mirrors the documented policy — slots
 // claimed LIFO from the free list (else appended), every touch sets the
 // slot's reference bit, the sweep clears set bits and evicts the first
-// clear one, the hand persists across evictions — with its own map and
-// fresh filters, so a slab bookkeeping bug (hand reset, ref bit dropped,
-// free-list reuse order) diverges in filter outputs or eviction counts.
+// clear one, the hand persists across evictions — with its own map and a
+// fresh standalone filter per first contact, so a slab bookkeeping bug
+// (hand reset, ref bit dropped, free-list reuse order, a reclaimed row not
+// starting empty) diverges in filter outputs or eviction counts.
 TEST(NCClient, SlabLinkStateMatchesClockHandReference) {
   NCClientConfig cfg = basic_config();
   cfg.filter = FilterConfig::moving_percentile(4, 25.0, /*min_samples=*/2);
@@ -127,9 +127,9 @@ TEST(NCClient, SlabLinkStateMatchesClockHandReference) {
   NCClient client(0, cfg);
 
   struct RefSlot {
-    NodeId remote = kInvalidNode;  // kInvalidNode = parked
+    NodeId remote = kInvalidNode;  // kInvalidNode = free slot
     bool referenced = false;
-    std::unique_ptr<LatencyFilter> filter;
+    std::optional<LatencyFilter> filter;  // a fresh row per first contact
   };
   std::vector<RefSlot> slots;
   std::unordered_map<NodeId, std::size_t> slot_of;
@@ -176,7 +176,7 @@ TEST(NCClient, SlabLinkStateMatchesClockHandReference) {
         idx = slots.size() - 1;
       }
       slots[idx].remote = remote;
-      slots[idx].filter = cfg.filter.make();
+      slots[idx].filter.emplace(cfg.filter);
       slot_of[remote] = idx;
       ++active;
     }
@@ -192,24 +192,82 @@ TEST(NCClient, SlabLinkStateMatchesClockHandReference) {
   EXPECT_GT(ref_evictions, 50u);  // the sequence actually exercised eviction
 }
 
-// Evicted slots park their filter in the pool; re-contact drains the pool
-// instead of allocating. With the cap at 6 and 18 remotes churning, the
-// slab settles at cap + a small pool — never one filter per remote ever
-// seen.
-TEST(NCClient, EvictedFiltersAreRecycledThroughThePool) {
+// Evicted rows are re-initialized in place: once the slab has grown to the
+// link cap, a first contact claims a freed row and allocates nothing — the
+// row storage never moves and the byte count never changes, however many
+// remotes churn through.
+TEST(NCClient, EvictedSlotsAreReusedInPlace) {
   NCClientConfig cfg = basic_config();
   cfg.max_tracked_links = 6;
   NCClient c(0, cfg);
-  for (int round = 0; round < 10; ++round)
-    for (NodeId id = 1; id <= 18; ++id)
-      c.observe(id, Coordinate{Vec{10.0, 0.0}}, 0.5, 10.0 + id,
-                static_cast<double>(round * 18 + id));
+  NodeId next = 1;
+  double t = 0.0;
+  const auto contact_new_remote = [&] {
+    c.observe(next, Coordinate{Vec{10.0, 0.0}}, 0.5, 10.0 + next, t);
+    ++next;
+    t += 1.0;
+  };
+  for (int i = 0; i < 7; ++i) contact_new_remote();  // fill, then one eviction
+  const void* rows = c.link_rows();
+  const std::size_t bytes = c.memory_bytes();
+  const std::uint64_t evicted = c.evicted_link_count();
+  for (int i = 0; i < 1200; ++i) {
+    contact_new_remote();
+    ASSERT_EQ(c.link_rows(), rows) << "first contact " << i;
+    ASSERT_EQ(c.memory_bytes(), bytes) << "first contact " << i;
+  }
   EXPECT_EQ(c.tracked_link_count(), 6u);
-  // Active + pooled together bound the slab: at most cap + 1 instances were
-  // ever created (one eviction happens before each over-cap claim, so the
-  // pool never holds more than one parked filter here).
-  EXPECT_LE(c.pooled_filter_count(), 1u);
-  EXPECT_GT(c.evicted_link_count(), 100u);
+  EXPECT_EQ(c.evicted_link_count(), evicted + 1200u);
+}
+
+// The paper's MP(4, 25) needs four samples per link; with every row live,
+// the whole client — object, slab rows, index, free list — costs at most
+// 128 bytes per tracked link.
+TEST(NCClient, MemoryPerTrackedLinkWithinBound) {
+  NCClientConfig cfg = basic_config();
+  cfg.filter = FilterConfig::moving_percentile(4, 25.0);
+  cfg.max_tracked_links = 4096;
+  NCClient c(0, cfg);
+  for (NodeId id = 1; id <= 4096; ++id)
+    c.observe(id, Coordinate{Vec{10.0, 0.0}}, 0.5, 10.0, static_cast<double>(id));
+  ASSERT_EQ(c.tracked_link_count(), 4096u);
+  EXPECT_LE(c.memory_bytes() / c.tracked_link_count(), 128u);
+}
+
+// The paper's ENERGY heuristic keeps two k-coordinate windows plus their
+// copies inside the incremental energy sums; the budget must see them.
+TEST(NCClient, MemoryBytesCountHeuristicWindows) {
+  NCClientConfig plain = basic_config();
+  NCClientConfig windowed = basic_config();
+  windowed.heuristic = HeuristicConfig::energy(8.0, 32);
+  NCClient a(1, plain);
+  NCClient b(1, windowed);
+  for (int i = 0; i < 200; ++i) {
+    const double t = static_cast<double>(i);
+    const double rtt = 50.0 + (i % 7);
+    a.observe(2, Coordinate{Vec{50.0, 0.0}}, 0.5, rtt, t);
+    b.observe(2, Coordinate{Vec{50.0, 0.0}}, 0.5, rtt, t);
+  }
+  EXPECT_GE(b.memory_bytes(), a.memory_bytes() + 4 * 32 * sizeof(Vec));
+}
+
+// An unusable filter config fails when the client is built, not at its
+// first observation (inside an engine that would be a shard worker,
+// mid-run).
+TEST(NCClient, RejectsBadFilterConfigAtConstruction) {
+  const FilterConfig bad[] = {
+      FilterConfig::moving_percentile(0, 25.0),
+      FilterConfig::moving_percentile(4, 101.0),
+      FilterConfig::moving_percentile(4, 25.0, 5),
+      FilterConfig::ewma(0.0),
+      FilterConfig::ewma(1.5),
+      FilterConfig::threshold(0.0),
+  };
+  for (const FilterConfig& f : bad) {
+    NCClientConfig cfg = basic_config();
+    cfg.filter = f;
+    EXPECT_THROW(NCClient(1, cfg), CheckError) << f.name();
+  }
 }
 
 // Index-equivalence pin (PR 7): the compact open-addressed slot index must
@@ -229,7 +287,7 @@ TEST(NCClient, CompactIndexMatchesDenseIndexReference) {
   struct RefSlot {
     NodeId remote = kInvalidNode;
     bool referenced = false;
-    std::unique_ptr<LatencyFilter> filter;
+    std::optional<LatencyFilter> filter;  // a fresh row per first contact
   };
   std::vector<RefSlot> slots;
   std::vector<std::uint32_t> dense_slot_of;  // remote id -> slot + 1
@@ -280,7 +338,7 @@ TEST(NCClient, CompactIndexMatchesDenseIndexReference) {
         idx = slots.size() - 1;
       }
       slots[idx].remote = remote;
-      slots[idx].filter = cfg.filter.make();
+      slots[idx].filter.emplace(cfg.filter);
       dense_slot_of[rid] = static_cast<std::uint32_t>(idx) + 1;
       ++active;
     }

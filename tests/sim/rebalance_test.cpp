@@ -295,6 +295,16 @@ TEST(Rebalance, MemoryBudgetAccountsMigrationBuffers) {
   EXPECT_GT(on.memory.rebalance_bytes, off.memory.rebalance_bytes);
   // rebalance_bytes participates in the reported total.
   EXPECT_GE(on.memory.total(), on.memory.rebalance_bytes);
+  // So do the per-shard event queues (with inbox and staging) and metrics
+  // collectors, which every online run fills.
+  for (const MemoryBudget& m : {off.memory, on.memory}) {
+    EXPECT_GT(m.queue_bytes, 0u);
+    EXPECT_GT(m.collector_bytes, 0u);
+    EXPECT_EQ(m.total(), m.client_bytes + m.link_bytes + m.estimator_bytes +
+                             m.mailbox_bytes + m.neighbor_bytes +
+                             m.snapshot_bytes() + m.rebalance_bytes +
+                             m.queue_bytes + m.collector_bytes);
+  }
 }
 
 // Per-shard busy time is measured whenever the engine runs; the bench's

@@ -1,12 +1,15 @@
 // ShardEventQueue, the per-shard scheduler of the sharded engine: calendar
 // order under every access pattern the engine produces (sorted buckets,
-// wrap-around years, far-future residue events, grow and shrink), and the
-// canonical (t, kind, a, b, seq) tie-break that keeps runs bit-identical at
-// any shard count.
+// wrap-around years, far-future residue events, grow and shrink), the
+// delivered lane beside it (tails carried across batches, migration
+// extraction), the canonical (t, kind, a, b, seq) tie-break that keeps runs
+// bit-identical at any shard count, and retained bytes that follow the
+// pending count.
 #include "sim/shard_mailbox.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.hpp"
@@ -230,6 +233,122 @@ TEST(ShardEventQueue, PushBatchMatchesIndividualPushes) {
     ASSERT_EQ(a.seq, b.seq);
   }
   EXPECT_TRUE(batched.empty());
+}
+
+// A lane tail — a pong due past the epoch end, a migrated node's timer —
+// survives into the next push_batch and merges with the new batch by the
+// canonical key; migration extraction then finds the node's events in lane
+// and calendar alike. The reference queue receives the same events one push
+// at a time, so both must agree on every extracted and popped event.
+TEST(ShardEventQueue, LaneTailMergesWithNextBatchAndExtractsInOrder) {
+  ShardEventQueue q;
+  ShardEventQueue ref;
+  const auto both_push = [&](const ShardEvent& ev) {
+    q.push(ev);
+    ref.push(ev);
+  };
+  const auto both_batch = [&](std::vector<ShardEvent> batch) {
+    for (const ShardEvent& ev : batch) ref.push(ev);
+    q.push_batch(batch);
+    EXPECT_TRUE(batch.empty());
+  };
+  const auto expect_same = [](const ShardEvent& a, const ShardEvent& b) {
+    EXPECT_EQ(a.t, b.t);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.a, b.a);
+    EXPECT_EQ(a.b, b.b);
+    EXPECT_EQ(a.seq, b.seq);
+  };
+  const auto run_epoch = [&](double epoch_end) {
+    while (ref.has_event_before(epoch_end)) {
+      ASSERT_TRUE(q.has_event_before(epoch_end));
+      ShardEvent ev = q.pop();
+      expect_same(ev, ref.pop());
+      if (ev.kind == ShardEventKind::kPingTimer) {  // re-arm one epoch on
+        ev.t += 5.0;
+        both_push(ev);
+      }
+    }
+    EXPECT_FALSE(q.has_event_before(epoch_end));
+  };
+
+  both_push(shard_event(3.0, ShardEventKind::kPingTimer, 1, -1, 0));
+  both_push(shard_event(4.0, ShardEventKind::kPingTimer, 2, -1, 0));
+  // Epoch [0, 5): two clamped deliveries, a pong for node 1 due at 7.5 and
+  // node 5's timer, migrated in with its node, due at 8.0.
+  both_batch({shard_event(7.5, ShardEventKind::kPong, 1, 4, 3),
+              shard_event(0.0, ShardEventKind::kPong, 1, 3, 2),
+              shard_event(8.0, ShardEventKind::kPingTimer, 5, -1, 0),
+              shard_event(0.0, ShardEventKind::kPing, 2, 3, 1)});
+  run_epoch(5.0);
+  ASSERT_EQ(q.size(), 4u);  // lane tail of two + two re-armed timers
+
+  // Epoch [5, 10): the new batch interleaves with the tail, including an
+  // equal-time ping that must precede the tail's pong (kind order).
+  both_batch({shard_event(7.5, ShardEventKind::kPing, 5, 1, 5),
+              shard_event(5.0, ShardEventKind::kPing, 1, 2, 4),
+              shard_event(12.0, ShardEventKind::kPong, 1, 2, 6)});
+  ASSERT_EQ(q.size(), 7u);
+
+  std::vector<ShardEvent> got;
+  std::vector<ShardEvent> want;
+  q.extract_node_events(1, got);
+  ref.extract_node_events(1, want);
+  ASSERT_EQ(got.size(), 4u);  // ping 5.0, pong 7.5, timer 8.0, pong 12.0
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) expect_same(got[i], want[i]);
+  EXPECT_EQ(got[1].kind, ShardEventKind::kPong);  // the carried tail
+  EXPECT_EQ(got[2].kind, ShardEventKind::kPingTimer);  // from the calendar
+
+  ASSERT_EQ(q.size(), 3u);
+  run_epoch(10.0);
+  run_epoch(15.0);
+  EXPECT_EQ(q.size(), ref.size());
+}
+
+// The engine's rhythm — one timer per node re-armed every epoch plus one
+// epoch-clamped delivery batch, as in BM_ShardEventQueueEpochBatch — must
+// retain bytes in proportion to what is pending at once, not to the number
+// of epochs absorbed. (A calendar that kept every drained batch's storage
+// in the bucket its day mapped to grew toward buckets x batch.)
+TEST(ShardEventQueue, RetainedBytesTrackPendingHighWater) {
+  constexpr int kNodes = 64;
+  constexpr int kBatch = 128;
+  constexpr int kEpochs = 1500;
+  constexpr double kInterval = 5.0;
+  std::uint64_t x = 17;
+  const auto next = [&x](std::uint64_t n) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % n;
+  };
+
+  ShardEventQueue q;
+  for (int i = 0; i < kNodes; ++i)
+    q.push(shard_event(static_cast<double>(next(5000)) / 1000.0,
+                       ShardEventKind::kPingTimer, i, -1, 0));
+  std::vector<ShardEvent> batch;
+  std::size_t high_water = q.size();
+  std::uint64_t seq = 0;
+  for (int e = 0; e < kEpochs; ++e) {
+    const double start = static_cast<double>(e) * kInterval;
+    for (int i = 0; i < kBatch; ++i)
+      batch.push_back(shard_event(
+          start, i % 2 == 0 ? ShardEventKind::kPing : ShardEventKind::kPong,
+          static_cast<NodeId>(next(kNodes)), static_cast<NodeId>(next(kNodes)),
+          seq++));
+    q.push_batch(batch);
+    high_water = std::max(high_water, q.size());
+    while (q.has_event_before(start + kInterval)) {
+      ShardEvent ev = q.pop();
+      if (ev.kind == ShardEventKind::kPingTimer) {
+        ev.t += kInterval;
+        q.push(ev);
+      }
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kNodes));
+  EXPECT_LE(q.memory_bytes(), 3 * high_water * sizeof(ShardEvent))
+      << "pending high-water " << high_water << " events";
 }
 
 // Far-future track ticks coexist with near-term timer traffic across many

@@ -200,6 +200,13 @@ TEST(ShardedEngine, RejectsBadConfigs) {
   EXPECT_THROW(ShardedEngine(bad_track, 2, small_topology(),
                                       lat::LinkModelConfig{}, all_up()),
                CheckError);
+  // A bad filter config fails here, while the clients are built, not from
+  // a shard worker at the first observation mid-run.
+  OnlineSimConfig bad_filter = small_config();
+  bad_filter.client.filter = FilterConfig::moving_percentile(0, 25.0);
+  EXPECT_THROW(ShardedEngine(bad_filter, 2, small_topology(),
+                                      lat::LinkModelConfig{}, all_up()),
+               CheckError);
   // Route-change validation matches the classic path's
   // schedule_route_change: a non-positive factor fails at construction.
   EXPECT_THROW(ShardedEngine(small_config(), 2, small_topology(),
