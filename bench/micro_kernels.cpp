@@ -4,10 +4,12 @@
 // against the naive O(k^2) recomputation (DESIGN.md ablation).
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/filters/mp_filter.hpp"
+#include "core/heuristics/windowed_heuristics.hpp"
 #include "core/nc_client.hpp"
 #include "core/vivaldi.hpp"
 #include "latency/trace_generator.hpp"
@@ -80,23 +82,28 @@ void BM_EnergySlideNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_EnergySlideNaive)->Arg(16)->Arg(32)->Arg(64);
 
-// Incremental: maintain the pair sums under push/pop — O(k).
+// Incremental: EnergyHeuristic's pair sums under one slide of W_c — O(k).
+// The threshold is never reached, so every update after the fill slides;
+// the arriving points cycle through a pregenerated stream.
 void BM_EnergySlideIncremental(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   Rng rng(5);
-  const auto base = window_of(k, rng, 0.0);
-  stats::IncrementalEnergy inc;
-  for (const Vec& v : window_of(k, rng, 5.0)) inc.push_current(v);
-  inc.set_base(base);
+  EnergyHeuristic h(std::numeric_limits<double>::max(), k);
+  Coordinate app = Coordinate::origin(3);
+  for (const Vec& v : window_of(k, rng, 5.0))
+    h.on_system_update({Coordinate{v}, nullptr, 0.0}, app);
+  std::vector<Coordinate> stream;
+  for (const Vec& v : window_of(1024, rng, 0.0)) stream.emplace_back(v);
+  std::size_t next = 0;
   for (auto _ : state) {
-    inc.push_current(rng.unit_vector(3) * rng.uniform(0.0, 10.0));
-    inc.pop_current();
-    benchmark::DoNotOptimize(inc.value());
+    benchmark::DoNotOptimize(h.on_system_update({stream[next], nullptr, 0.0}, app));
+    next = (next + 1) % stream.size();
   }
 }
 BENCHMARK(BM_EnergySlideIncremental)->Arg(16)->Arg(32)->Arg(64)->Arg(256);
 
-// Full per-observation pipeline: filter + Vivaldi + ENERGY heuristic.
+// Full per-observation pipeline: filter + Vivaldi + ENERGY heuristic, on one
+// client whose link rows and windows stay in cache.
 void BM_NCClientObserve(benchmark::State& state) {
   NCClientConfig cfg;
   cfg.heuristic = HeuristicConfig::energy(8.0, 32);
@@ -113,6 +120,43 @@ void BM_NCClientObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NCClientObserve);
+
+// The same pipeline as a replay drives it: 2,048 default clients fed one
+// generated trace in record order, each record observing the destination's
+// current coordinate. Consecutive records touch different clients, so each
+// observation finds its client's link rows and heuristic windows out of
+// cache. One lap of the trace warms the clients before timing; later laps
+// shift the record times forward.
+void BM_NCClientObserveColdClients(benchmark::State& state) {
+  const int n = 2048;
+  lat::TraceGenConfig tcfg;
+  tcfg.topology.num_nodes = n;
+  tcfg.duration_s = 120.0;
+  tcfg.seed = 7;
+  lat::TraceGenerator gen(tcfg);
+  std::vector<lat::TraceRecord> trace;
+  while (const auto r = gen.next()) trace.push_back(*r);
+  std::vector<NCClient> clients;
+  clients.reserve(n);
+  for (int i = 0; i < n; ++i) clients.emplace_back(static_cast<NodeId>(i), NCClientConfig{});
+
+  std::size_t next = 0;
+  double lap = 0.0;
+  const auto observe_next = [&] {
+    const lat::TraceRecord& r = trace[next];
+    const NCClient& dst = clients[r.dst];
+    const auto out = clients[r.src].observe(r.dst, dst.system_coordinate(),
+                                            dst.error_estimate(), r.rtt_ms, r.t_s + lap);
+    if (++next == trace.size()) {
+      next = 0;
+      lap += tcfg.duration_s;
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < trace.size(); ++i) observe_next();
+  for (auto _ : state) benchmark::DoNotOptimize(observe_next());
+}
+BENCHMARK(BM_NCClientObserveColdClients);
 
 void BM_TraceGeneration(benchmark::State& state) {
   lat::TraceGenConfig cfg;

@@ -18,6 +18,19 @@ namespace nc {
 /// Maximum supported coordinate dimension (inline storage bound).
 inline constexpr int kMaxDim = 8;
 
+/// Euclidean distance between two points of `dim` components stored as raw
+/// arrays. Vec::distance_to and the heuristics' flat coordinate windows both
+/// call it, so every distance is computed by the same operations.
+[[nodiscard]] inline double point_distance(const double* a, const double* b,
+                                           int dim) noexcept {
+  double s = 0.0;
+  for (int i = 0; i < dim; ++i) {
+    const double d = a[i] - b[i];
+    s += d * d;
+  }
+  return std::sqrt(s);
+}
+
 /// A dense Euclidean vector of runtime dimension `dim() <= kMaxDim`.
 ///
 /// Value type: cheap to copy (Core Guidelines F.16), all operations are
@@ -44,6 +57,8 @@ class Vec {
 
   [[nodiscard]] constexpr int dim() const noexcept { return dim_; }
   [[nodiscard]] constexpr bool empty() const noexcept { return dim_ == 0; }
+  /// The `dim()` components, contiguous.
+  [[nodiscard]] const double* data() const noexcept { return v_.data(); }
 
   [[nodiscard]] double operator[](int i) const noexcept {
     NC_ASSERT(i >= 0 && i < dim_);
@@ -105,12 +120,7 @@ class Vec {
   /// Euclidean distance to `o`.
   [[nodiscard]] double distance_to(const Vec& o) const {
     check_same_dim(o);
-    double s = 0.0;
-    for (int i = 0; i < dim_; ++i) {
-      const double d = (*this)[i] - o[i];
-      s += d * d;
-    }
-    return std::sqrt(s);
+    return point_distance(data(), o.data(), dim_);
   }
 
   /// Unit vector in this direction; the zero vector maps to itself so that

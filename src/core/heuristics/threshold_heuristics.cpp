@@ -65,21 +65,21 @@ std::unique_ptr<UpdateHeuristic> ApplicationHeuristic::clone() const {
 // -------------------------------------------------- APPLICATION/CENTROID --
 
 ApplicationCentroidHeuristic::ApplicationCentroidHeuristic(double tau_ms, int window)
-    : tau_ms_(tau_ms), window_(window) {
+    : tau_ms_(tau_ms), recent_(window) {
   NC_CHECK_MSG(tau_ms > 0.0, "tau must be positive");
-  NC_CHECK_MSG(window >= 1, "window must be >= 1");
 }
 
 bool ApplicationCentroidHeuristic::on_system_update(const UpdateContext& ctx,
                                                     Coordinate& app) {
   const Vec v = ctx.system.as_vec();
   if (sum_.dim() == 0) sum_ = Vec::zero(v.dim());
-  recent_.push_back(v);
   sum_ += v;
-  if (static_cast<int>(recent_.size()) > window_) {
-    sum_ -= recent_.front();
+  if (recent_.full()) {
+    const double* oldest = recent_[0];
+    for (int i = 0; i < v.dim(); ++i) sum_[i] -= oldest[i];
     recent_.pop_front();
   }
+  recent_.push_back(v);
 
   if (ctx.system.displacement_from(app) > tau_ms_) {
     const Vec centroid = sum_ / static_cast<double>(recent_.size());
@@ -90,12 +90,12 @@ bool ApplicationCentroidHeuristic::on_system_update(const UpdateContext& ctx,
 }
 
 void ApplicationCentroidHeuristic::reset() {
-  recent_.clear();
+  recent_.release();
   sum_ = Vec();
 }
 
 std::unique_ptr<UpdateHeuristic> ApplicationCentroidHeuristic::clone() const {
-  return std::make_unique<ApplicationCentroidHeuristic>(tau_ms_, window_);
+  return std::make_unique<ApplicationCentroidHeuristic>(tau_ms_, recent_.capacity());
 }
 
 }  // namespace nc

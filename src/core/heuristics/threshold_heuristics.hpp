@@ -3,12 +3,13 @@
 //
 // These trade accuracy directly against stability through a single movement
 // threshold tau (ms in coordinate space) and are sensitive to its tuning —
-// the baselines the windowed heuristics are compared against.
+// the baselines the windowed heuristics are compared against. Only
+// APPLICATION/CENTROID keeps a window: a k-point flat ring allocated at its
+// first update (point_ring.hpp), so no observation allocates.
 #pragma once
 
-#include <deque>
-
 #include "common/vec.hpp"
+#include "core/heuristics/point_ring.hpp"
 #include "core/heuristics/update_heuristic.hpp"
 
 namespace nc {
@@ -59,13 +60,12 @@ class ApplicationCentroidHeuristic final : public UpdateHeuristic {
   void reset() override;
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
   [[nodiscard]] std::size_t window_bytes() const noexcept override {
-    return recent_.size() * sizeof(Vec);
+    return recent_.bytes();
   }
 
  private:
   double tau_ms_;
-  int window_;
-  std::deque<Vec> recent_;
+  PointRing recent_;  // the last `window` system coordinates
   Vec sum_;
 };
 

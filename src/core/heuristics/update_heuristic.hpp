@@ -40,8 +40,9 @@ class UpdateHeuristic {
 
   [[nodiscard]] virtual std::unique_ptr<UpdateHeuristic> clone() const = 0;
 
-  /// Heap bytes the heuristic's windows hold (deques count their live
-  /// elements), for the owning client's memory budget. Windowless
+  /// Heap bytes the heuristic's windows hold, for the owning client's
+  /// memory budget: the flat point buffers, fixed in size once the first
+  /// update (the first freeze, for W_s) has allocated them. Windowless
   /// heuristics hold none.
   [[nodiscard]] virtual std::size_t window_bytes() const noexcept { return 0; }
 

@@ -77,7 +77,8 @@ struct ObservationOutcome {
 class NCClient {
  public:
   /// Throws CheckError on an unusable filter config (FilterConfig::validate)
-  /// — here, not at the first observation.
+  /// or Vivaldi config (Vivaldi's constructor: e.g. a height that the
+  /// heuristic windows cannot embed) — here, not at the first observation.
   NCClient(NodeId id, const NCClientConfig& config);
 
   /// Feeds one latency observation of `remote` (its advertised coordinate

@@ -22,6 +22,9 @@ Vivaldi::Vivaldi(const VivaldiConfig& config, std::uint64_t node_seed)
       error_(config.initial_error),
       rng_(Rng::derived(config.seed, node_seed)) {
   NC_CHECK_MSG(config.dim >= 1 && config.dim <= kMaxDim, "bad dimension");
+  // Window statistics embed a height as one more component (as_vec()).
+  NC_CHECK_MSG(config.dim + (config.use_height ? 1 : 0) <= kMaxDim,
+               "no room to embed height: dim must be < kMaxDim with use_height");
   NC_CHECK_MSG(config.cc > 0.0 && config.cc <= 1.0, "cc out of (0,1]");
   NC_CHECK_MSG(config.ce > 0.0 && config.ce <= 1.0, "ce out of (0,1]");
   NC_CHECK_MSG(config.initial_error > 0.0 && config.initial_error <= config.max_error,

@@ -23,53 +23,12 @@ double cross_sum(std::span<const Vec> a, std::span<const Vec> b) {
   return s;
 }
 
-double combine(double sum_ab, double sum_aa, double sum_bb, double n1, double n2) {
-  return n1 * n2 / (n1 + n2) *
-         (2.0 / (n1 * n2) * sum_ab - sum_aa / (n1 * n1) - sum_bb / (n2 * n2));
-}
-
 }  // namespace
 
 double energy_distance(std::span<const Vec> a, std::span<const Vec> b) {
   NC_CHECK_MSG(!a.empty() && !b.empty(), "energy distance of empty sample");
-  return combine(cross_sum(a, b), pairwise_sum(a), pairwise_sum(b),
-                 static_cast<double>(a.size()), static_cast<double>(b.size()));
-}
-
-void IncrementalEnergy::set_base(std::span<const Vec> a) {
-  NC_CHECK_MSG(!a.empty(), "empty base sample");
-  a_.assign(a.begin(), a.end());
-  sum_aa_ = pairwise_sum(a_);
-  // Cross terms must be rebuilt against the new base.
-  sum_ab_ = 0.0;
-  for (const Vec& x : a_)
-    for (const Vec& y : b_) sum_ab_ += x.distance_to(y);
-}
-
-void IncrementalEnergy::push_current(const Vec& v) {
-  for (const Vec& x : a_) sum_ab_ += x.distance_to(v);
-  for (const Vec& y : b_) sum_bb_ += 2.0 * y.distance_to(v);
-  b_.push_back(v);
-}
-
-void IncrementalEnergy::pop_current() {
-  NC_CHECK_MSG(!b_.empty(), "pop from empty current window");
-  const Vec v = b_.front();
-  b_.pop_front();
-  for (const Vec& y : b_) sum_bb_ -= 2.0 * y.distance_to(v);
-  for (const Vec& x : a_) sum_ab_ -= x.distance_to(v);
-}
-
-void IncrementalEnergy::reset() noexcept {
-  a_.clear();
-  b_.clear();
-  sum_aa_ = sum_bb_ = sum_ab_ = 0.0;
-}
-
-double IncrementalEnergy::value() const {
-  NC_CHECK_MSG(!a_.empty() && !b_.empty(), "energy of empty window");
-  return combine(sum_ab_, sum_aa_, sum_bb_, static_cast<double>(a_.size()),
-                 static_cast<double>(b_.size()));
+  return energy_from_sums(cross_sum(a, b), pairwise_sum(a), pairwise_sum(b),
+                          static_cast<double>(a.size()), static_cast<double>(b.size()));
 }
 
 }  // namespace nc::stats

@@ -7,55 +7,29 @@
 //   e(A,B) = n1*n2/(n1+n2) * ( 2/(n1*n2) * S_AB
 //                              - 1/n1^2 * S_AA - 1/n2^2 * S_BB )
 //
-// where S_XY are sums of pairwise Euclidean distances. A naive evaluation is
-// O(k^2) per observation; IncrementalEnergy maintains the three sums under
-// window pushes/pops for O(k) per observation. Tests verify both agree.
+// where S_XY are sums of pairwise Euclidean distances (S_AA and S_BB over
+// ordered pairs, so each unordered pair counts twice). energy_from_sums is
+// the one implementation of that formula. energy_distance evaluates the
+// sums directly in O(k^2) and is the reference; EnergyHeuristic
+// (core/heuristics/windowed_heuristics.hpp) keeps them under window slides
+// for O(k) per observation, and tests check that both agree.
 #pragma once
 
-#include <deque>
 #include <span>
-#include <vector>
 
 #include "common/vec.hpp"
 
 namespace nc::stats {
 
+/// e(A, B) from the three pair-distance sums of samples of sizes n1 and n2.
+[[nodiscard]] inline double energy_from_sums(double sum_ab, double sum_aa,
+                                             double sum_bb, double n1,
+                                             double n2) noexcept {
+  return n1 * n2 / (n1 + n2) *
+         (2.0 / (n1 * n2) * sum_ab - sum_aa / (n1 * n1) - sum_bb / (n2 * n2));
+}
+
 /// O(|a|*|b| + |a|^2 + |b|^2) direct evaluation. Requires non-empty samples.
 [[nodiscard]] double energy_distance(std::span<const Vec> a, std::span<const Vec> b);
-
-/// Maintains e(A, B) where A is fixed (the "start" window) and B is a FIFO
-/// sliding window ("current"), under push/pop of B elements.
-class IncrementalEnergy {
- public:
-  /// Freezes the base sample A and computes its self-distance sum.
-  void set_base(std::span<const Vec> a);
-
-  /// Appends v to the current window B.
-  void push_current(const Vec& v);
-
-  /// Removes the oldest element of B.
-  void pop_current();
-
-  void reset() noexcept;
-
-  [[nodiscard]] bool has_base() const noexcept { return !a_.empty(); }
-  [[nodiscard]] std::size_t base_size() const noexcept { return a_.size(); }
-  [[nodiscard]] std::size_t current_size() const noexcept { return b_.size(); }
-
-  /// Current e(A, B); requires both samples non-empty.
-  [[nodiscard]] double value() const;
-
-  /// Heap bytes of both samples (B counts its live elements).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return (a_.capacity() + b_.size()) * sizeof(Vec);
-  }
-
- private:
-  std::vector<Vec> a_;
-  std::deque<Vec> b_;
-  double sum_aa_ = 0.0;  // sum over ordered pairs of A (each unordered pair twice)
-  double sum_bb_ = 0.0;  // sum over ordered pairs of B
-  double sum_ab_ = 0.0;  // sum over A x B
-};
 
 }  // namespace nc::stats

@@ -234,21 +234,62 @@ TEST(NCClient, MemoryPerTrackedLinkWithinBound) {
   EXPECT_LE(c.memory_bytes() / c.tracked_link_count(), 128u);
 }
 
-// The paper's ENERGY heuristic keeps two k-coordinate windows plus their
-// copies inside the incremental energy sums; the budget must see them.
+// The budget counts the heuristics' windows exactly: a windowed heuristic
+// holds W_s (k points) and the W_c ring (k + 1 points), d doubles per point,
+// plus RANKSUM's two k-entry distance reductions; APPLICATION/CENTROID holds
+// a k-point ring.
 TEST(NCClient, MemoryBytesCountHeuristicWindows) {
-  NCClientConfig plain = basic_config();
-  NCClientConfig windowed = basic_config();
-  windowed.heuristic = HeuristicConfig::energy(8.0, 32);
-  NCClient a(1, plain);
-  NCClient b(1, windowed);
-  for (int i = 0; i < 200; ++i) {
-    const double t = static_cast<double>(i);
-    const double rtt = 50.0 + (i % 7);
-    a.observe(2, Coordinate{Vec{50.0, 0.0}}, 0.5, rtt, t);
-    b.observe(2, Coordinate{Vec{50.0, 0.0}}, 0.5, rtt, t);
+  const std::size_t k = 32;
+  struct Case {
+    HeuristicConfig heuristic;
+    bool height;
+    std::size_t bytes;
+  };
+  const std::size_t d2 = 2 * sizeof(double);  // one point, dim 2
+  const std::size_t d3 = 3 * sizeof(double);  // one point, dim 2 plus height
+  const Case cases[] = {
+      {HeuristicConfig::energy(8.0, 32), false, (2 * k + 1) * d2},
+      {HeuristicConfig::energy(8.0, 32), true, (2 * k + 1) * d3},
+      {HeuristicConfig::relative(0.3, 32), false, (2 * k + 1) * d2},
+      {HeuristicConfig::rank_sum(0.01, 32), false,
+       (2 * k + 1) * d2 + 2 * k * sizeof(double)},
+      {HeuristicConfig::application_centroid(4.0, 32), false, k * d2},
+  };
+  for (const Case& c : cases) {
+    NCClientConfig plain = basic_config();
+    plain.vivaldi.use_height = c.height;
+    NCClientConfig windowed = plain;
+    windowed.heuristic = c.heuristic;
+    NCClient a(1, plain);
+    NCClient b(1, windowed);
+    const Coordinate remote = c.height ? Coordinate{Vec{50.0, 0.0}, 1.0}
+                                       : Coordinate{Vec{50.0, 0.0}};
+    for (int i = 0; i < 200; ++i) {
+      const double t = static_cast<double>(i);
+      const double rtt = 50.0 + (i % 7);
+      a.observe(2, remote, 0.5, rtt, t);
+      b.observe(2, remote, 0.5, rtt, t);
+    }
+    EXPECT_EQ(b.memory_bytes(), a.memory_bytes() + c.bytes) << c.heuristic.name();
   }
-  EXPECT_GE(b.memory_bytes(), a.memory_bytes() + 4 * 32 * sizeof(Vec));
+}
+
+// A height is embedded as one more window component, so dim + 1 must fit in
+// kMaxDim; the client refuses such a config when it is built, not at its
+// second observation (inside an engine, from a shard worker mid-run).
+TEST(NCClient, RejectsCoordinateTooWideToEmbed) {
+  NCClientConfig cfg = basic_config();
+  cfg.heuristic = HeuristicConfig::energy(8.0, 4);
+  cfg.vivaldi.dim = kMaxDim;
+  cfg.vivaldi.use_height = true;
+  EXPECT_THROW(NCClient(1, cfg), CheckError);
+
+  cfg.vivaldi.dim = kMaxDim - 1;
+  NCClient c(1, cfg);
+  const Coordinate remote{Vec::zero(kMaxDim - 1), 1.0};
+  for (int i = 0; i < 8; ++i)
+    c.observe(2, remote, 0.5, 20.0 + i, static_cast<double>(i));
+  EXPECT_EQ(c.application_coordinate().dim(), kMaxDim - 1);
 }
 
 // An unusable filter config fails when the client is built, not at its

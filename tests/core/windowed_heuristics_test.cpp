@@ -2,13 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "stats/energy.hpp"
 
 namespace nc {
 namespace {
 
 Coordinate at(double x, double y) { return Coordinate{Vec{x, y}}; }
+
+// A threshold the statistic never exceeds: W_s stays frozen and W_c slides.
+constexpr double kNeverFires = std::numeric_limits<double>::max();
 
 TEST(WindowedHeuristic, RejectsBadParams) {
   EXPECT_THROW(EnergyHeuristic(0.0, 8), CheckError);
@@ -207,6 +217,104 @@ TEST(EnergyHeuristic, MatchesNaiveEnergyRecomputationExactly) {
   EXPECT_EQ(h.change_points(), static_cast<std::uint64_t>(naive_changes));
   EXPECT_GT(naive_changes, 3);  // the stream actually exercised change points
 }
+
+// IncrementalEnergy.* and IncrementalSlideProperty: EnergyHeuristic's
+// incremental pair sums against the O(k^2) energy_distance reference.
+
+TEST(IncrementalEnergy, MatchesNaiveAfterFill) {
+  // The freeze sums S_AA, S_AB and S_BB from one distance triangle. A first
+  // slide that re-adds the oldest point leaves W_c a rotation of W_s, so
+  // the statistic is e(base, base) = 0 up to rounding.
+  Rng rng(34);
+  const int k = 8;
+  EnergyHeuristic h(kNeverFires, k);
+  Coordinate app = Coordinate::origin(3);
+  std::vector<Vec> base;
+  for (int i = 0; i < k; ++i) {
+    base.push_back(Vec{rng.normal(0.0, 4.0), rng.normal(0.0, 4.0), rng.normal(0.0, 4.0)});
+    h.on_system_update({Coordinate{base.back()}, nullptr, 0.0}, app);
+  }
+  ASSERT_TRUE(h.armed());
+  h.on_system_update({Coordinate{base.front()}, nullptr, 0.0}, app);
+  EXPECT_NEAR(h.last_statistic(), stats::energy_distance(base, base), 1e-9);
+}
+
+TEST(IncrementalEnergy, ValueRequiresBothWindows) {
+  // The statistic is first evaluated when W_s is frozen and W_c has slid.
+  EnergyHeuristic h(kNeverFires, 4);
+  Coordinate app = at(0, 0);
+  for (int i = 0; i < 4; ++i) {
+    h.on_system_update({at(i, 1.0), nullptr, 0.0}, app);
+    EXPECT_EQ(h.last_statistic(), 0.0);
+  }
+  h.on_system_update({at(40.0, 0.0), nullptr, 0.0}, app);
+  EXPECT_GT(h.last_statistic(), 0.0);
+}
+
+TEST(IncrementalEnergy, ResetClearsEverything) {
+  // reset() frees the windows and zeroes the sums: refilled, the heuristic
+  // reproduces a fresh one's statistics bit for bit.
+  Rng rng(35);
+  std::vector<Coordinate> stream;
+  for (int i = 0; i < 24; ++i)
+    stream.push_back(at(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)));
+  EnergyHeuristic used(kNeverFires, 4);
+  EnergyHeuristic fresh(kNeverFires, 4);
+  Coordinate app = at(0, 0);
+  for (const Coordinate& c : stream) used.on_system_update({c, nullptr, 0.0}, app);
+  used.reset();
+  EXPECT_FALSE(used.armed());
+  EXPECT_EQ(used.window_bytes(), 0u);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    used.on_system_update({stream[i], nullptr, 0.0}, app);
+    fresh.on_system_update({stream[i], nullptr, 0.0}, app);
+    if (i >= 4) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(used.last_statistic()),
+                std::bit_cast<std::uint64_t>(fresh.last_statistic()))
+          << "update " << i;
+    }
+  }
+}
+
+// Property: after any sequence of slides, the incremental statistic matches
+// a naive recomputation over the live window contents.
+class IncrementalSlideProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(IncrementalSlideProperty, MatchesNaiveUnderSliding) {
+  const int k = 16;
+  Rng rng(static_cast<std::uint64_t>(GetParam()));
+  EnergyHeuristic h(kNeverFires, k);
+  Coordinate app = Coordinate::origin(3);
+  std::vector<Vec> base;
+  std::vector<Vec> window;  // mirror of W_c
+
+  // Fill phase: W_s == W_c.
+  for (int i = 0; i < k; ++i) {
+    const Vec v = rng.unit_vector(3) * rng.uniform(0.0, 20.0);
+    base.push_back(v);
+    window.push_back(v);
+    h.on_system_update({Coordinate{v}, nullptr, 0.0}, app);
+  }
+
+  // Slide 200 elements with a drifting distribution.
+  Vec drift = Vec::zero(3);
+  for (int i = 0; i < 200; ++i) {
+    drift += rng.unit_vector(3) * 0.3;
+    const Vec v = drift + rng.unit_vector(3) * rng.uniform(0.0, 5.0);
+    h.on_system_update({Coordinate{v}, nullptr, 0.0}, app);
+    window.push_back(v);
+    window.erase(window.begin());
+
+    if (i % 20 == 0) {
+      const double naive = stats::energy_distance(base, window);
+      EXPECT_NEAR(h.last_statistic(), naive, 1e-7 * std::max(1.0, naive))
+          << "slide " << i;
+    }
+  }
+  EXPECT_EQ(h.change_points(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSlideProperty, ::testing::Range(1, 11));
 
 TEST(WindowedHeuristic, HeightCoordinatesSupported) {
   EnergyHeuristic h(4.0, 8);

@@ -207,6 +207,13 @@ TEST(ShardedEngine, RejectsBadConfigs) {
   EXPECT_THROW(ShardedEngine(bad_filter, 2, small_topology(),
                                       lat::LinkModelConfig{}, all_up()),
                CheckError);
+  // Likewise a coordinate whose height the heuristic windows cannot embed.
+  OnlineSimConfig too_wide = small_config();
+  too_wide.client.vivaldi.dim = kMaxDim;
+  too_wide.client.vivaldi.use_height = true;
+  EXPECT_THROW(ShardedEngine(too_wide, 2, small_topology(),
+                                      lat::LinkModelConfig{}, all_up()),
+               CheckError);
   // Route-change validation matches the classic path's
   // schedule_route_change: a non-positive factor fails at construction.
   EXPECT_THROW(ShardedEngine(small_config(), 2, small_topology(),

@@ -60,91 +60,10 @@ TEST(EnergyDistance, TwoPointsKnownValue) {
   EXPECT_DOUBLE_EQ(energy_distance(a, b), 3.0);
 }
 
-TEST(IncrementalEnergy, MatchesNaiveAfterFill) {
-  Rng rng(34);
-  const auto base = random_sample(rng, 8, 3, 4.0, Vec::zero(3));
-  IncrementalEnergy inc;
-  for (const Vec& v : base) inc.push_current(v);
-  inc.set_base(base);
-  EXPECT_NEAR(inc.value(), energy_distance(base, base), 1e-9);
-}
-
-TEST(IncrementalEnergy, PopRequiresNonEmpty) {
-  IncrementalEnergy inc;
-  EXPECT_THROW(inc.pop_current(), CheckError);
-}
-
-TEST(IncrementalEnergy, ValueRequiresBothWindows) {
-  IncrementalEnergy inc;
-  EXPECT_THROW((void)inc.value(), CheckError);
-  inc.push_current(Vec{1.0});
-  EXPECT_THROW((void)inc.value(), CheckError);  // no base yet
-}
-
-TEST(IncrementalEnergy, ResetClearsEverything) {
-  Rng rng(35);
-  const auto base = random_sample(rng, 4, 2, 1.0, Vec::zero(2));
-  IncrementalEnergy inc;
-  for (const Vec& v : base) inc.push_current(v);
-  inc.set_base(base);
-  inc.reset();
-  EXPECT_FALSE(inc.has_base());
-  EXPECT_EQ(inc.current_size(), 0u);
-}
-
-// Property: after any sequence of slides, the incremental value matches a
-// naive recomputation over the live window contents.
-class IncrementalSlideProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(IncrementalSlideProperty, MatchesNaiveUnderSliding) {
-  const int k = 16;
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-
-  IncrementalEnergy inc;
-  std::vector<Vec> base;
-  std::vector<Vec> window;  // mirror of the incremental current window
-
-  // Fill phase: base == current.
-  for (int i = 0; i < k; ++i) {
-    Vec v = rng.unit_vector(3) * rng.uniform(0.0, 20.0);
-    base.push_back(v);
-    window.push_back(v);
-    inc.push_current(v);
-  }
-  inc.set_base(base);
-
-  // Slide 200 elements with a drifting distribution.
-  Vec drift = Vec::zero(3);
-  for (int i = 0; i < 200; ++i) {
-    drift += rng.unit_vector(3) * 0.3;
-    Vec v = drift + rng.unit_vector(3) * rng.uniform(0.0, 5.0);
-    inc.push_current(v);
-    inc.pop_current();
-    window.push_back(v);
-    window.erase(window.begin());
-
-    if (i % 20 == 0) {
-      const double naive = energy_distance(base, window);
-      EXPECT_NEAR(inc.value(), naive, 1e-7 * std::max(1.0, naive)) << "slide " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSlideProperty, ::testing::Range(1, 11));
-
-TEST(IncrementalEnergy, RebaseRebuildsCrossTerms) {
-  Rng rng(36);
-  const auto a1 = random_sample(rng, 6, 3, 2.0, Vec::zero(3));
-  const auto a2 = random_sample(rng, 6, 3, 2.0, Vec{8.0, 0.0, 0.0});
-  const auto b = random_sample(rng, 6, 3, 2.0, Vec{4.0, 0.0, 0.0});
-
-  IncrementalEnergy inc;
-  for (const Vec& v : b) inc.push_current(v);
-  inc.set_base(a1);
-  EXPECT_NEAR(inc.value(), energy_distance(a1, b), 1e-9);
-  inc.set_base(a2);
-  EXPECT_NEAR(inc.value(), energy_distance(a2, b), 1e-9);
-}
+// EnergyHeuristic's incremental sums are checked against energy_distance in
+// tests/core/windowed_heuristics_test.cpp (IncrementalEnergy.*,
+// IncrementalSlideProperty) and bit for bit against the deque algorithm in
+// tests/core/heuristic_reference_test.cpp.
 
 }  // namespace
 }  // namespace nc::stats
