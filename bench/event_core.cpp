@@ -10,8 +10,8 @@
 //   * ONLINE mode at --shards = 1, 2, 4, ... (powers of two up to
 //     --max-shards), and
 //   * REPLAY mode over a generated trace at the same shard counts (wall
-//     time includes the serial trace generation, which bounds replay
-//     scaling per Amdahl),
+//     time includes the trace generation, whose node stage is serial and
+//     bounds replay scaling per Amdahl),
 // reports events/sec, and cross-checks that every shard count produced
 // bit-identical metrics (the kernel's core guarantee; the run aborts loudly
 // if not). Each row is also printed as a JSON object for BENCH_pr5.json-
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nnote: shard speedup needs real cores; on a 1-core host all\n"
-              "shard counts serialize. Replay rows include the serial trace\n"
+              "shard counts serialize. Replay rows include the trace\n"
               "generation in wall time. Online and replay rows differ in\n"
               "workload semantics, so compare events/sec within one engine\n"
               "label, not across.\n");

@@ -158,6 +158,30 @@ void BM_NCClientObserveColdClients(benchmark::State& state) {
 }
 BENCHMARK(BM_NCClientObserveColdClients);
 
+// A whole 0.25-hour trace per iteration, construction included, drained at
+// the default worker count for its node count: the generation cost a
+// replay run pays in set-up. At n = 2048 nearly every ping meets a fresh
+// link, so this is the first-touch path; at n = 269 links repeat.
+void BM_TraceGeneratorDrain(benchmark::State& state) {
+  lat::TraceGenConfig cfg;
+  cfg.topology.num_nodes = static_cast<int>(state.range(0));
+  cfg.duration_s = 0.25 * 3600.0;
+  cfg.seed = 11;
+  std::uint64_t records = 0;
+  for (auto _ : state) {
+    lat::TraceGenerator gen(cfg);
+    while (const auto r = gen.next()) benchmark::DoNotOptimize(r->rtt_ms);
+    records += gen.produced();
+  }
+  state.counters["records_per_s"] =
+      benchmark::Counter(static_cast<double>(records), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TraceGeneratorDrain)
+    ->Arg(269)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_TraceGeneration(benchmark::State& state) {
   lat::TraceGenConfig cfg;
   cfg.topology.num_nodes = 128;

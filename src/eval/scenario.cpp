@@ -61,10 +61,10 @@ ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
 
   sim::ShardedEngine engine(rc, gen.num_nodes());
   // Every replay at shards > 1 reads partitioned, EXCEPT under
-  // collect_oracle: oracle sampling hits the generating network, which is
-  // not safe from concurrent readers, so those runs keep the single-reader
-  // path (the results are bit-identical either way, so the choice is an
-  // engine one, not a semantic one).
+  // collect_oracle: the oracle rides in the generator's records, and slice
+  // files do not carry it, so those runs keep the single-reader path (the
+  // results are bit-identical either way, so the choice is an engine one,
+  // not a semantic one).
   if (rc.shards > 1 && !spec.measurement.collect_oracle) {
     // Partition-on-open: split the generated trace into per-shard slice
     // files, then let every worker shard read its own slice
@@ -83,7 +83,7 @@ ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
     }
     engine.run_partitioned(sources);
   } else {
-    engine.run(gen, spec.measurement.collect_oracle ? &gen.network() : nullptr);
+    engine.run(gen);
   }
 
   std::uint64_t absorbed = 0;

@@ -14,8 +14,9 @@
 // sim::ShardedEngine and shard the run across `shards` worker threads with
 // bit-identical results at any count. A replay at shards > 1 splits the
 // generated trace by owner shard and gives every shard its own reader,
-// unless oracle metrics are asked for: the generating network they sample
-// is not safe for concurrent readers, so those runs keep one reader. Named
+// unless oracle metrics are asked for: they read the ground truth the
+// generator stamps into each record, which slice files do not carry, so
+// those runs keep one reader. Named
 // workload presets — planetlab, intercontinental, churn, flash-crowd,
 // drift-heavy, lan-cluster — live in eval/registry.hpp; the parallel
 // multi-spec runner lives in eval/grid.hpp.

@@ -98,18 +98,23 @@ LinkModelConfig LinkModelConfig::noiseless() {
 }
 
 LatencyNetwork::LatencyNetwork(Topology topology, LinkModelConfig link_config,
-                               AvailabilityConfig availability, std::uint64_t seed)
+                               AvailabilityConfig availability, std::uint64_t seed,
+                               int link_lanes)
     : topology_(std::move(topology)),
       config_(link_config),
       availability_(availability),
       seed_(seed),
-      links_(static_cast<std::size_t>(topology_.size()),
-             static_cast<std::size_t>(topology_.size())),
       nodes_(static_cast<std::size_t>(topology_.size())),
       node_init_(static_cast<std::size_t>(topology_.size()), false) {
   NC_CHECK_MSG(config_.body_sigma >= 0.0, "negative jitter sigma");
   NC_CHECK_MSG(config_.loss_prob >= 0.0 && config_.loss_prob < 1.0, "bad loss prob");
   NC_CHECK_MSG(config_.spike_alpha > 0.0, "bad spike alpha");
+  NC_CHECK_MSG(link_lanes >= 1, "need at least one link lane");
+  const auto n = static_cast<std::size_t>(topology_.size());
+  const auto lanes = static_cast<std::size_t>(link_lanes);
+  lanes_.resize(lanes);
+  for (LinkLane& lane : lanes_)
+    lane.links = ShardLinkStore<LinkState>((n + lanes - 1) / lanes, n);
 }
 
 std::uint64_t LatencyNetwork::link_key(NodeId i, NodeId j) noexcept {
@@ -122,8 +127,10 @@ LatencyNetwork::LinkState& LatencyNetwork::link_slot(NodeId i, NodeId j) {
   NC_CHECK_MSG(i >= 0 && j >= 0 && i != j && i < topology_.size() &&
                    j < topology_.size(),
                "bad link endpoints");
-  return links_.at(static_cast<std::size_t>(std::min(i, j)),
-                   static_cast<std::size_t>(std::max(i, j)));
+  const auto lo = static_cast<std::size_t>(std::min(i, j));
+  const std::size_t lanes = lanes_.size();
+  return lanes_[lo % lanes].links.at(lo / lanes,
+                                     static_cast<std::size_t>(std::max(i, j)));
 }
 
 LatencyNetwork::LinkState& LatencyNetwork::link_at(NodeId i, NodeId j, double t) {
@@ -159,24 +166,29 @@ LatencyNetwork::NodeState& LatencyNetwork::node_at(NodeId i, double t) {
 std::optional<double> LatencyNetwork::sample_rtt(NodeId i, NodeId j, double t) {
   NC_CHECK_MSG(i != j, "no self-ping");
   ++samples_;
-
-  NodeState& ni = node_at(i, t);
-  NodeState& nj = node_at(j, t);
-  if (!nj.dyn.up) {  // target down: the ping times out
+  const PingNodes nodes = node_stage(i, j, t);
+  if (!nodes.target_up) {  // target down: the ping times out
     ++losses_;
     return std::nullopt;
   }
-  const bool overload = t < ni.dyn.burst_end_t || t < nj.dyn.burst_end_t;
+  const LinkSample sample = link_stage(i, j, t, nodes.overload);
+  if (!sample.rtt_ms.has_value()) ++losses_;
+  return sample.rtt_ms;
+}
 
+PingNodes LatencyNetwork::node_stage(NodeId i, NodeId j, double t) {
+  const NodeState& ni = node_at(i, t);
+  const NodeState& nj = node_at(j, t);
+  return {nj.dyn.up, t < ni.dyn.burst_end_t || t < nj.dyn.burst_end_t};
+}
+
+LinkSample LatencyNetwork::link_stage(NodeId i, NodeId j, double t, bool overload) {
   LinkState& link = link_at(i, j, t);
-  if (link.rng.bernoulli(config_.loss_prob)) {
-    ++losses_;
-    return std::nullopt;
-  }
-
   const double base = topology_.base_rtt_ms(i, j) * link.dyn.route_factor;
-  return sample_noisy_rtt(link.rng, base, overload, t < link.dyn.burst_end_t,
-                          config_);
+  if (link.rng.bernoulli(config_.loss_prob)) return {std::nullopt, base};
+  return {sample_noisy_rtt(link.rng, base, overload, t < link.dyn.burst_end_t,
+                           config_),
+          base};
 }
 
 double LatencyNetwork::ground_truth_rtt(NodeId i, NodeId j, double t) {

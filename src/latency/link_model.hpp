@@ -17,12 +17,21 @@
 //
 // All stochastic state is derived deterministically from the master seed, so
 // a (topology, config, seed) triple defines one reproducible network.
-// Time must be non-decreasing per link/node (the trace generator and the
-// replay oracle it backs naturally sample in time order). The sharded
-// engine's online mode does not share this object: it runs the same
-// LinkDynamics / NodeDynamics state machines on its own per-shard state.
+// Time must be non-decreasing per link/node (the trace generator samples
+// in time order). The sharded engine's online mode does not share this
+// object: it runs the same LinkDynamics / NodeDynamics state machines on
+// its own per-shard state.
+//
+// One ping is two stages on disjoint streams. The node stage (the overload
+// windows of 4, the up/down churn of 7) draws only the two endpoints' node
+// streams. The link stage (1-3, 5, 6 and the packet loss of 7) draws only
+// the link's own stream. sample_rtt runs both in turn. The trace generator
+// runs the node stage serially in schedule order and the link stage on
+// several threads: each thread owns one link lane, and links are split
+// across lanes by their lower id.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -141,10 +150,27 @@ struct AvailabilityConfig {
   double staged_join_s = 0.0;
 };
 
+/// The node stage's verdict on one ping i -> j.
+struct PingNodes {
+  bool target_up = false;  // false: the ping times out at a down target
+  bool overload = false;   // either endpoint inside an overload burst
+};
+
+/// The link stage's outcome for one ping whose target is up.
+struct LinkSample {
+  std::optional<double> rtt_ms;  // nullopt: the packet was lost
+  double truth_ms = 0.0;         // ground_truth_rtt at the sample time
+};
+
 class LatencyNetwork {
  public:
+  /// `link_lanes` >= 1 splits the undirected link state into that many
+  /// independent tables (lane = lower id mod link_lanes). Link stages on
+  /// different lanes touch disjoint memory, so one thread per lane may
+  /// run them concurrently. Results never depend on the lane count.
   LatencyNetwork(Topology topology, LinkModelConfig link_config,
-                 AvailabilityConfig availability, std::uint64_t seed);
+                 AvailabilityConfig availability, std::uint64_t seed,
+                 int link_lanes = 1);
 
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
   [[nodiscard]] const LinkModelConfig& link_config() const noexcept { return config_; }
@@ -153,8 +179,26 @@ class LatencyNetwork {
   }
   /// One application-level ping i -> j at time t. nullopt: the ping was lost
   /// or the target is down. Does not check whether i itself is up — a down
-  /// node simply should not call (see node_up()).
+  /// node simply should not call (see node_up()). Runs node_stage, then
+  /// link_stage when the target is up.
   [[nodiscard]] std::optional<double> sample_rtt(NodeId i, NodeId j, double t);
+
+  /// Stage one of a ping i -> j at t: advances both endpoints' node
+  /// processes to t. Draws node streams only.
+  [[nodiscard]] PingNodes node_stage(NodeId i, NodeId j, double t);
+
+  /// Stage two, for a ping whose target is up: advances link {i, j} to t,
+  /// draws the loss and then the noisy RTT, and reports the ground truth
+  /// at t. Draws the link's own stream only and touches only lane
+  /// link_lane(i, j), so stages on different lanes may run concurrently.
+  [[nodiscard]] LinkSample link_stage(NodeId i, NodeId j, double t, bool overload);
+
+  [[nodiscard]] int link_lanes() const noexcept {
+    return static_cast<int>(lanes_.size());
+  }
+  [[nodiscard]] int link_lane(NodeId i, NodeId j) const noexcept {
+    return std::min(i, j) % link_lanes();
+  }
 
   /// Effective quiescent RTT (base x current route factor): the oracle a
   /// real deployment lacks, used for ground-truth error metrics.
@@ -173,6 +217,7 @@ class LatencyNetwork {
   /// reaches `at_t`.
   void schedule_route_change(NodeId i, NodeId j, double factor, double at_t);
 
+  /// sample_rtt calls so far, and how many of them lost the ping.
   [[nodiscard]] std::uint64_t sample_count() const noexcept { return samples_; }
   [[nodiscard]] std::uint64_t loss_count() const noexcept { return losses_; }
 
@@ -189,9 +234,15 @@ class LatencyNetwork {
     NodeDynamics dyn;
   };
 
+  /// One lane's link table, on its own cache lines: the store's bookkeeping
+  /// is written on every first touch, by the lane's thread only.
+  struct alignas(64) LinkLane {
+    ShardLinkStore<LinkState> links;
+  };
+
   [[nodiscard]] static std::uint64_t link_key(NodeId i, NodeId j) noexcept;
-  /// The undirected link {i, j}'s state, created on first touch (row = the
-  /// lower id). Throws on out-of-range ids or i == j.
+  /// The undirected link {i, j}'s state, created on first touch (lane and
+  /// row from the lower id). Throws on out-of-range ids or i == j.
   LinkState& link_slot(NodeId i, NodeId j);
   LinkState& link_at(NodeId i, NodeId j, double t);
   NodeState& node_at(NodeId i, double t);
@@ -200,10 +251,11 @@ class LatencyNetwork {
   LinkModelConfig config_;
   AvailabilityConfig availability_;
   std::uint64_t seed_;
-  /// Per-link stochastic state for the undirected links sampled so far,
-  /// row = lower id, col = higher id. Slots are lazily stream-seeded at
-  /// first-touch time from the link's own key.
-  ShardLinkStore<LinkState> links_;
+  /// Per-link stochastic state for the undirected links sampled so far:
+  /// lower id lo lives in lane lo % lanes, row lo / lanes; col = higher id.
+  /// Slots are lazily stream-seeded at first-touch time from the link's
+  /// own key.
+  std::vector<LinkLane> lanes_;
   std::vector<NodeState> nodes_;
   std::vector<bool> node_init_;
   std::uint64_t samples_ = 0;

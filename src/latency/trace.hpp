@@ -7,6 +7,7 @@
 // export exists for interoperability with external analysis tools.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <optional>
@@ -22,6 +23,10 @@ struct TraceRecord {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   float rtt_ms = 0.0f;  // measured application-level RTT
+  /// The link's quiescent RTT at t_s (LatencyNetwork::ground_truth_rtt),
+  /// stamped by a generating source; 0 when the source has none. Trace
+  /// files do not store it.
+  double gt_rtt_ms = 0.0;
 };
 
 /// Anything that yields trace records in non-decreasing time order.
@@ -31,7 +36,15 @@ class TraceSource {
   [[nodiscard]] virtual std::optional<TraceRecord> next() = 0;
   /// Number of distinct nodes the trace may reference (ids in [0, n)).
   [[nodiscard]] virtual int num_nodes() const = 0;
+  /// Whether every record carries its ground truth (gt_rtt_ms).
+  [[nodiscard]] virtual bool stamps_ground_truth() const { return false; }
 };
+
+/// Bytes of one record in the binary trace format.
+inline constexpr std::size_t kTraceRecordBytes = 20;
+/// Records per I/O block: TraceWriter and TraceReader move whole blocks of
+/// this many records (just under 64 KiB) through the stream.
+inline constexpr std::size_t kTraceBlockRecords = 65536 / kTraceRecordBytes;
 
 /// Writes the binary trace format:
 ///   header: magic 'NCTR', u32 version, u32 num_nodes, u64 record count
@@ -39,18 +52,28 @@ class TraceSource {
 class TraceWriter {
  public:
   TraceWriter(const std::string& path, int num_nodes);
+  /// Closes best-effort if close() was not called; never throws.
   ~TraceWriter();
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void append(const TraceRecord& record);
-  /// Flushes and patches the record count into the header.
+  /// Flushes and patches the record count into the header. Throws
+  /// nc::CheckError when any block write or the header patch failed (a
+  /// full disk), so a damaged file never passes for a complete one.
   void close();
 
   [[nodiscard]] std::uint64_t written() const noexcept { return count_; }
 
  private:
+  void write_block();
+  /// Flushes, patches the header and closes; false when any write failed.
+  [[nodiscard]] bool finish() noexcept;
+
+  std::string path_;
   std::ofstream out_;
+  std::vector<char> block_;   // one block of encoded records
+  std::size_t pending_ = 0;   // records in block_ not yet written
   std::uint64_t count_ = 0;
   bool closed_ = false;
 };
@@ -66,7 +89,13 @@ class TraceReader final : public TraceSource {
   [[nodiscard]] std::uint64_t record_count() const noexcept { return count_; }
 
  private:
+  /// Reads the next block; returns the whole records it holds.
+  std::size_t read_block();
+
   std::ifstream in_;
+  std::vector<char> block_;
+  std::size_t block_records_ = 0;  // whole records in block_
+  std::size_t block_pos_ = 0;      // next record in block_
   int num_nodes_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t read_ = 0;
@@ -85,7 +114,8 @@ std::uint64_t export_csv(TraceSource& source, const std::string& path);
 /// ShardedEngine::run_partitioned bit-identical to the single-reader path.
 /// `num_nodes` must cover every id in the trace (pass the driver's node
 /// count, which may exceed the source's). Returns the per-shard paths,
-/// indexed by shard.
+/// indexed by shard. When anything throws (the source, a bad dst id, a
+/// failed write), no slice file is left behind.
 std::vector<std::string> partition_trace(TraceSource& source,
                                          const std::string& path_prefix,
                                          int num_nodes, int shards);

@@ -542,8 +542,9 @@ void ShardedEngine::on_delivered_pong(Shard& shard, double t_proc,
       shard.estimator->estimate_rtt(observer, remote, t_proc);
   NC_ASSERT(predicted.has_value());  // the pair was observed this instant
 
-  // Online runs stamp the oracle value at ping time, replay readers from
-  // the generating network (which run() requires under collect_oracle).
+  // Online runs stamp the oracle value at ping time, replay readers copy
+  // the one the generator stamped into the record (run() requires such a
+  // source under collect_oracle).
   std::optional<double> truth;
   if (config_.collect_oracle) truth = ev.gt_rtt_ms;
 
@@ -608,8 +609,7 @@ void ShardedEngine::read_trace_until(int shard_idx, double t_limit) {
     msg.to = rec.dst;    // the observed node: first stop of the record
     msg.seq = reader.seq++;
     msg.rtt_ms = rec.rtt_ms;
-    if (config_.collect_oracle)
-      msg.gt_rtt_ms = oracle_->ground_truth_rtt(rec.src, rec.dst, rec.t_s);
+    if (config_.collect_oracle) msg.gt_rtt_ms = rec.gt_rtt_ms;
     mailbox_.send(shard_idx,
                   shards_[static_cast<std::size_t>(shard_idx)].ownership.owner(
                       rec.dst),
@@ -660,15 +660,15 @@ void ShardedEngine::run() {
   run_epochs();
 }
 
-void ShardedEngine::run(lat::TraceSource& source, lat::LatencyNetwork* oracle) {
+void ShardedEngine::run(lat::TraceSource& source) {
   NC_CHECK_MSG(mode_ == Mode::kReplay, "run(trace) is replay mode only");
   NC_CHECK_MSG(source.num_nodes() <= num_nodes(),
                "trace has more nodes than driver");
-  NC_CHECK_MSG(!config_.collect_oracle || oracle != nullptr,
-               "collect_oracle needs the generating network as oracle");
+  NC_CHECK_MSG(!config_.collect_oracle || source.stamps_ground_truth(),
+               "collect_oracle needs a source that stamps ground truth into "
+               "its records (a TraceGenerator); trace files carry none");
   readers_.resize(shards_.size());
   readers_[0] = ReaderState{&source, std::nullopt, 0, false};
-  oracle_ = oracle;
   // Prime the pipeline: epoch 0's records must already sit in the mailbox
   // when the first delivery phase collects it (each reader stays one window
   // ahead from here on). Runs before any worker launches, so sending and
@@ -686,9 +686,8 @@ void ShardedEngine::run_partitioned(
   NC_CHECK_MSG(sources.size() == shards_.size(),
                "need exactly one trace slice per shard");
   NC_CHECK_MSG(!config_.collect_oracle,
-               "partitioned replay cannot collect oracle metrics (the oracle "
-               "network is not safe for concurrent readers); use run(source, "
-               "oracle)");
+               "partitioned replay cannot collect oracle metrics (trace slices "
+               "carry no ground truth); use run(source) on the generator");
   partitioned_ = true;
   readers_.resize(shards_.size());
   for (std::size_t s = 0; s < sources.size(); ++s) {

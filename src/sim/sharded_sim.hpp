@@ -175,8 +175,8 @@ struct ReplayConfig {
 
   bool collect_timeseries = false;
   double timeseries_bucket_s = 600.0;
-  /// Needs the generating network as run()'s oracle; run_partitioned()
-  /// rejects it.
+  /// Replay: needs run() on a source that stamps ground truth (a
+  /// generator); run_partitioned() rejects it.
   bool collect_oracle = false;
 
   /// Estimation backend (per-shard instances; see est::EstimatorSpec).
@@ -266,19 +266,19 @@ class ShardedEngine {
   void run();
 
   /// Replays every record of `source` (records past duration_s are
-  /// ignored). `oracle` supplies ground-truth RTTs for oracle metrics —
-  /// pass the generating LatencyNetwork. It is required when
-  /// config.collect_oracle is set: without it the run throws CheckError
-  /// before reading a record. Call once; replay mode only.
-  void run(lat::TraceSource& source, lat::LatencyNetwork* oracle = nullptr);
+  /// ignored). Oracle metrics read the ground truth each record carries,
+  /// so config.collect_oracle needs a source that stamps it (a
+  /// lat::TraceGenerator): any other source throws CheckError before a
+  /// record is read. Call once; replay mode only.
+  void run(lat::TraceSource& source);
 
   /// Replays a PRE-PARTITIONED trace: sources[s] must hold exactly the
   /// records whose observed node (dst) shard s owns, in their original
   /// relative order (lat::partition_trace produces this). Every shard reads
   /// its own slice concurrently — bit-identical to run(source) on the
-  /// unpartitioned trace at any shard count. No oracle: the generating
-  /// LatencyNetwork is not safe to sample from concurrent readers, so a
-  /// config with collect_oracle throws CheckError before the run starts.
+  /// unpartitioned trace at any shard count. No oracle: slice files carry
+  /// no ground truth, so a config with collect_oracle throws CheckError
+  /// before the run starts.
   /// Call once; replay mode only; sources.size() must equal shards().
   void run_partitioned(const std::vector<lat::TraceSource*>& sources);
 
@@ -535,7 +535,6 @@ class ShardedEngine {
 
   // Replay reader state.
   std::vector<ReaderState> readers_;
-  lat::LatencyNetwork* oracle_ = nullptr;
   /// Partitioned mode: each reading shard checks it owns every dst it reads
   /// (a mis-split trace would silently break the canonical merge order).
   bool partitioned_ = false;

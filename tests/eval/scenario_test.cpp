@@ -250,10 +250,10 @@ TEST(PartitionReplay, SingleShardFallsBackToOneReader) {
   EXPECT_GT(out.metrics.observation_count(), 0u);
 }
 
-// Sharded + oracle: oracle sampling needs the generating network, which
-// concurrent readers must not touch, so a sharded oracle run keeps the
-// single reader instead of throwing, and its metrics match a one-shard
-// oracle run bit for bit.
+// Sharded + oracle: the oracle rides in the generator's records, which
+// slice files do not carry, so a sharded oracle run keeps the single
+// reader instead of throwing, and its metrics match a one-shard oracle run
+// bit for bit.
 TEST(PartitionReplay, OracleRunsFallBackToOneReader) {
   ScenarioSpec spec = make_scenario("planetlab");
   spec.workload.num_nodes = 16;

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "latency/trace_generator.hpp"
@@ -83,6 +84,52 @@ TEST(TraceIo, TruncatedBodyRejectedNamingBothCounts) {
     EXPECT_NE(what.find("declares 5 records"), std::string::npos) << what;
     EXPECT_NE(what.find("ends after 4"), std::string::npos) << what;
   }
+}
+
+// Records cross the writer's and the reader's block boundaries unchanged,
+// in the 20-byte format.
+TEST(TraceIo, RoundTripAcrossBlockBoundaries) {
+  const std::string path = temp_path("blocks.nctr");
+  const std::size_t n = 2 * kTraceBlockRecords + 7;
+  const auto record = [](std::size_t i) {
+    return TraceRecord{0.25 * static_cast<double>(i), static_cast<NodeId>(i % 5),
+                       static_cast<NodeId>((i + 1) % 5),
+                       1.0f + static_cast<float>(i) / 3.0f};
+  };
+  {
+    TraceWriter w(path, 5);
+    for (std::size_t i = 0; i < n; ++i) w.append(record(i));
+    w.close();
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), 20 + 20 * n);
+  TraceReader r(path);
+  ASSERT_EQ(r.record_count(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto got = r.next();
+    ASSERT_TRUE(got.has_value()) << i;
+    const TraceRecord want = record(i);
+    ASSERT_EQ(got->t_s, want.t_s) << i;
+    ASSERT_EQ(got->src, want.src) << i;
+    ASSERT_EQ(got->dst, want.dst) << i;
+    ASSERT_EQ(got->rtt_ms, want.rtt_ms) << i;
+    ASSERT_EQ(got->gt_rtt_ms, 0.0) << i;  // files carry no ground truth
+  }
+  EXPECT_EQ(r.next(), std::nullopt);
+}
+
+// A full disk must fail the close that claims the file complete, not a
+// shard worker reading a "truncated trace" mid-run. The destructor of an
+// unclosed writer on the same device stays quiet.
+TEST(TraceWriter, FullDeviceFailsAtClose) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  TraceWriter w("/dev/full", 4);
+  for (int i = 0; i < 100000; ++i) w.append({static_cast<double>(i), 0, 1, 1.0f});
+  EXPECT_EQ(w.written(), 100000u);
+  EXPECT_THROW(w.close(), CheckError);
+  {
+    TraceWriter unclosed("/dev/full", 4);
+    unclosed.append({0.0, 0, 1, 1.0f});
+  }  // best-effort close, no throw
 }
 
 TEST(TraceIo, RejectsMissingFile) {
@@ -186,6 +233,48 @@ TEST(TracePartition, RejectsBadArguments) {
   EXPECT_THROW(partition_trace(b, temp_path("partbad"), 4, 2), CheckError);
 }
 
+/// Yields `good` well-formed records, then one whose dst is out of range.
+class BadDstSource final : public TraceSource {
+ public:
+  explicit BadDstSource(int good) : good_(good) {}
+  std::optional<TraceRecord> next() override {
+    const int i = i_++;
+    return TraceRecord{static_cast<double>(i), 0, i < good_ ? 1 + i % 11 : 99, 5.0f};
+  }
+  int num_nodes() const override { return 12; }
+
+ private:
+  int good_;
+  int i_ = 0;
+};
+
+// A split that throws part-way (a truncated input, a bad dst id) must not
+// leave slice files behind: the caller never receives their paths.
+TEST(PartitionTrace, ThrowingSourceLeavesNoSlices) {
+  const std::string src_path = temp_path("part-throw-src.nctr");
+  {
+    TraceWriter w(src_path, 12);
+    for (int i = 0; i < 50; ++i)
+      w.append({static_cast<double>(i), static_cast<NodeId>(i % 12),
+                static_cast<NodeId>((i + 5) % 12), 10.0f});
+  }
+  std::filesystem::resize_file(src_path, std::filesystem::file_size(src_path) - 30);
+  const std::string prefix = temp_path("part-throw");
+  const auto no_slices = [&](int shards) {
+    for (int s = 0; s < shards; ++s)
+      if (std::filesystem::exists(prefix + ".shard" + std::to_string(s))) return false;
+    return true;
+  };
+
+  TraceReader truncated(src_path);
+  EXPECT_THROW(partition_trace(truncated, prefix, 12, 2), CheckError);
+  EXPECT_TRUE(no_slices(2));
+
+  BadDstSource bad_dst(4000);  // fails after the first block of one slice
+  EXPECT_THROW(partition_trace(bad_dst, prefix, 12, 3), CheckError);
+  EXPECT_TRUE(no_slices(3));
+}
+
 // ------------------------------------------------------------- Generator --
 
 TraceGenConfig small_config() {
@@ -278,6 +367,67 @@ TEST(TraceGenerator, FileGenerationMatchesStreaming) {
     ++matched;
   }
   EXPECT_EQ(matched, written);
+}
+
+TEST(TraceGenerator, DefaultWorkersFollowNodeCount) {
+  EXPECT_EQ(TraceGenerator::default_workers(8), 1);
+  EXPECT_EQ(TraceGenerator::default_workers(TraceGenerator::kMinParallelNodes - 1), 1);
+  const int big = TraceGenerator::default_workers(2048);
+  EXPECT_GE(big, 1);
+  EXPECT_LE(big, TraceGenerator::kMaxWorkers);
+  EXPECT_EQ(TraceGenerator(small_config()).workers(), 1);
+  EXPECT_THROW(TraceGenerator(small_config(), 0), CheckError);
+}
+
+// Generated records carry the link's ground truth at sample time: after
+// the drain, the network answers the same value for every record's link
+// at its last sample.
+TEST(TraceGenerator, StampsGroundTruth) {
+  TraceGenerator gen(small_config(), 2);
+  EXPECT_TRUE(gen.stamps_ground_truth());
+  std::vector<TraceRecord> last(64);
+  while (auto r = gen.next()) {
+    ASSERT_GT(r->gt_rtt_ms, 0.0);
+    last[static_cast<std::size_t>(std::min(r->src, r->dst) * 8 + std::max(r->src, r->dst))] = *r;
+  }
+  for (const TraceRecord& r : last) {
+    if (r.src == kInvalidNode) continue;
+    EXPECT_EQ(gen.network().ground_truth_rtt(r.src, r.dst, r.t_s), r.gt_rtt_ms);
+  }
+}
+
+// A throw inside a link-stage worker surfaces from next() on the calling
+// thread, and keeps surfacing. Link (0, 1) is pushed past the end of the
+// trace before the first next(), so the worker that later samples it finds
+// its clock going backwards.
+TEST(TraceGenerator, WorkerFailureSurfacesFromNext) {
+  for (int workers : {2, 3}) {
+    TraceGenerator gen(small_config(), workers);
+    (void)gen.network().ground_truth_rtt(0, 1, 1e6);
+    const auto drain = [&gen] {
+      while (gen.next()) {
+      }
+    };
+    EXPECT_THROW(drain(), CheckError) << "W=" << workers;
+    EXPECT_THROW((void)gen.next(), CheckError) << "W=" << workers;
+  }
+}
+
+// The destructor joins the workers whether the generator was drained, read
+// part-way (chunks still queued ahead of the reader) or never read.
+TEST(TraceGenerator, DestructorJoinsWorkersAtAnyPoint) {
+  TraceGenConfig c = small_config();
+  c.topology.num_nodes = 200;
+  c.duration_s = 600.0;
+  { TraceGenerator never_read(c, 4); }
+  {
+    TraceGenerator part_read(c, 4);
+    ASSERT_TRUE(part_read.next().has_value());
+  }
+  TraceGenerator drained(c, 4);
+  while (drained.next()) {
+  }
+  EXPECT_EQ(drained.attempts(), 200u * 600u);
 }
 
 TEST(TraceGenerator, ChurnSuppressesDownNodes) {

@@ -73,7 +73,7 @@ TEST(ReplayMode, OracleMetricsCollected) {
   ReplayConfig rc = small_replay(300.0);
   rc.collect_oracle = true;
   ShardedEngine driver(rc, gen.num_nodes());
-  driver.run(gen, &gen.network());
+  driver.run(gen);
   const auto cdf = driver.metrics().oracle_per_node_median_error();
   EXPECT_GT(cdf.size(), 6u);
   EXPECT_LT(cdf.median(), 0.5);

@@ -144,7 +144,7 @@ TEST(ShardedReplay, OracleMetricsShardCountInvariant) {
     ReplayConfig rc = small_replay(300.0, shards);
     rc.collect_oracle = true;
     ShardedEngine driver(rc, gen.num_nodes());
-    driver.run(gen, &gen.network());
+    driver.run(gen);
     const auto cdf = driver.metrics().oracle_per_node_median_error();
     return std::vector<double>(cdf.sorted_values().begin(),
                                cdf.sorted_values().end());
@@ -252,17 +252,29 @@ TEST(ShardedReplay, PartitionedReplayRejectsBadSlices) {
   }
 }
 
-// collect_oracle needs the generating network. Both entry points refuse a
-// run that cannot sample it before reading a single record, so a caller
-// never gets an empty oracle CDF without an error.
-TEST(ShardedReplay, OracleWithoutNetworkRejected) {
-  lat::TraceGenerator gen(small_trace(12, 300.0));
+// collect_oracle reads the ground truth a generator stamps into each
+// record. Both entry points refuse a source without it (a trace file) before
+// reading a single record, so a caller never gets an empty oracle CDF
+// without an error.
+TEST(ShardedReplay, OracleWithoutStampedTruthRejected) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/replay-no-truth.nctr";
+  lat::generate_trace_file(small_trace(12, 300.0), path);
+  lat::TraceReader src(path);
   ReplayConfig rc = small_replay(300.0, 1);
   rc.collect_oracle = true;
-  ShardedEngine engine(rc, gen.num_nodes());
-  EXPECT_THROW(engine.run(gen), CheckError);
-  EXPECT_EQ(gen.produced(), 0u);
+  ShardedEngine engine(rc, src.num_nodes());
+  ASSERT_GT(src.record_count(), 0u);
+  EXPECT_THROW(engine.run(src), CheckError);
   EXPECT_EQ(engine.metrics().observation_count(), 0u);
+  // Nothing was read: the source still yields the trace's first record.
+  lat::TraceReader fresh(path);
+  const auto first = fresh.next();
+  const auto unread = src.next();
+  ASSERT_TRUE(first.has_value() && unread.has_value());
+  EXPECT_EQ(unread->t_s, first->t_s);
+  EXPECT_EQ(unread->src, first->src);
+  EXPECT_EQ(unread->dst, first->dst);
 }
 
 TEST(ShardedReplay, PartitionedOracleRejected) {
