@@ -36,9 +36,11 @@ double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// `gen`: the trace generator's bytes on replay rows, else null.
 void print_row(const char* engine, int nodes, int shards, double wall,
                std::uint64_t events, double err,
-               const nc::sim::MemoryBudget& mem) {
+               const nc::sim::MemoryBudget& mem,
+               const nc::lat::TraceGenMemory* gen = nullptr) {
   const double rate = static_cast<double>(events) / wall;
   std::printf("%8s %6d %7d %10.2f %14llu %12.0f %12.4f %12s\n", engine, nodes,
               shards, wall, static_cast<unsigned long long>(events), rate, err,
@@ -48,7 +50,7 @@ void print_row(const char* engine, int nodes, int shards, double wall,
               "\"median_err\": %.4f, \"mem_bytes\": %llu, "
               "\"rebalance_bytes\": %llu, \"neighbor_bytes\": %llu, "
               "\"snapshot_base_bytes\": %llu, \"snapshot_delta_bytes\": "
-              "%llu, \"queue_bytes\": %llu, \"collector_bytes\": %llu}\n",
+              "%llu, \"queue_bytes\": %llu, \"collector_bytes\": %llu",
               engine, nodes, shards, wall,
               static_cast<unsigned long long>(events), rate, err,
               static_cast<unsigned long long>(mem.total()),
@@ -58,6 +60,10 @@ void print_row(const char* engine, int nodes, int shards, double wall,
               static_cast<unsigned long long>(mem.snapshot_delta_bytes),
               static_cast<unsigned long long>(mem.queue_bytes),
               static_cast<unsigned long long>(mem.collector_bytes));
+  if (gen != nullptr)
+    std::printf(", \"gen_bytes\": %llu",
+                static_cast<unsigned long long>(gen->total()));
+  std::printf("}\n");
 }
 
 }  // namespace
@@ -154,8 +160,9 @@ int main(int argc, char** argv) {
                            engine.metrics().observation_count() == rref_obs,
                        "replay run diverged from shards=1 (determinism bug)");
         }
+        const nc::lat::TraceGenMemory gen_mem = gen.memory_bytes();
         print_row("replay", n, w, wall, engine.events_processed(), err,
-                  engine.memory_budget());
+                  engine.memory_budget(), &gen_mem);
       }
     }
   }

@@ -39,8 +39,9 @@ namespace nc {
 template <typename T>
 class ShardLinkStore {
  public:
-  /// Slots per slab block: ~60 KiB of the engine's 120-byte link state, so
-  /// a store that holds a few links wastes at most one partial block.
+  /// Slots per slab block: 44 KiB of the engine's 88-byte directed links
+  /// (48 KiB of LatencyNetwork's 96-byte slots), so a store that holds a
+  /// few links wastes at most one partial block.
   static constexpr std::size_t kBlockSlots = 512;
 
   ShardLinkStore() = default;

@@ -6,9 +6,10 @@
 namespace nc {
 
 double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  if (!std::isnan(cached_normal_)) {
+    const double cached = cached_normal_;
+    cached_normal_ = kNoCachedNormal;
+    return cached;
   }
   // Box-Muller on (0,1] uniforms so log() never sees zero.
   double u1 = 0.0;
@@ -19,7 +20,6 @@ double Rng::normal() noexcept {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
   cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
   return r * std::cos(theta);
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "common/vec.hpp"
 
@@ -62,7 +63,7 @@ class Rng {
       x = splitmix64(x);
       s = x;
     }
-    has_cached_normal_ = false;
+    cached_normal_ = kNoCachedNormal;
   }
 
   /// An independent generator derived from this seed and a stream id.
@@ -142,9 +143,15 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
+  /// Marks an empty cached-normal slot; Box-Muller never yields NaN. A
+  /// sentinel instead of a flag keeps an Rng at 40 bytes, and one sits in
+  /// every link slot.
+  static constexpr double kNoCachedNormal =
+      std::numeric_limits<double>::quiet_NaN();
+
   std::uint64_t s_[4]{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  double cached_normal_ = kNoCachedNormal;  // Box-Muller's second normal
 };
+static_assert(sizeof(Rng) == 40, "four state words plus the cached normal");
 
 }  // namespace nc

@@ -8,15 +8,16 @@
 // not primed (MP filter with min_samples, guarding the first-sample pathology
 // of Sec. VI) or because the sample was rejected (threshold filter).
 //
-// A link's filter state is a ROW: a FilterState (samples held, MP ring
-// cursor) plus FilterKernel::row_doubles() doubles whose layout belongs to
-// the kind's kernel. Kernels hold no state of their own — every call names
-// the row it works on — so NCClient keeps one row per tracked link inline in
-// its slab (no per-link object, no allocation per first contact), while
-// LatencyFilter and the named classes in core/filters/ own exactly one row
-// for standalone use (figure benches, tests). Both drive the same kernel, so
-// each filter kind has one implementation. A zeroed FilterState is an empty
-// filter: that is what reset() and a freshly claimed slab row start from.
+// A link's filter state is a ROW: a FilterState (samples held, the MP
+// window's oldest arrival tag) plus FilterKernel::row_doubles() doubles
+// whose layout belongs to the kind's kernel. Kernels hold no state of their
+// own — every call names the row it works on — so NCClient keeps one row
+// per tracked link inline in its slab (no per-link object, no allocation
+// per first contact), while LatencyFilter and the named classes in
+// core/filters/ own exactly one row for standalone use (figure benches,
+// tests). Both drive the same kernel, so each filter kind has one
+// implementation. A zeroed FilterState is an empty filter: that is what
+// reset() and a freshly claimed slab row start from.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,7 @@ namespace nc {
 
 /// Per-row bookkeeping shared by every kind: `count` is the samples the row
 /// holds (0 = unprimed; single-value kinds keep it at most 1), `cursor` the
-/// MP ring's oldest slot once the ring is full.
+/// arrival tag of the MP window's oldest sample once the window is full.
 struct FilterState {
   std::uint32_t count = 0;
   std::uint32_t cursor = 0;
@@ -56,12 +57,21 @@ struct IdentityKernel : SingleValueKernel {
 };
 
 /// Moving percentile (paper Sec. IV): the p-th percentile (nearest rank) of
-/// the last h samples. Row: the h-sample ring in arrival order (oldest at
-/// `cursor` once full), then the same samples ascending. An update
-/// binary-searches the outgoing sample out of the sorted copy and the
-/// incoming one in — O(log h + h) moves, and h runs up to 128 in the
-/// history sweeps (fig04, ablation_mp_grid).
+/// the last h samples. Row: the h samples ascending, then one 16-bit
+/// arrival tag per sample — the slot it would hold in an h-sample ring, so
+/// the oldest sample of a full window is the one tagged `cursor`. An update
+/// scans the tags for the outgoing sample, then binary-searches the
+/// incoming one in, shifting both arrays: O(h) and no copy of the window,
+/// where h runs up to 128 in the history sweeps (fig04, ablation_mp_grid).
+/// At MP(4, 25) the row is 40 bytes, against 64 for a ring plus a sorted
+/// copy. The tags sit behind the doubles as raw bytes, read and written by
+/// memcpy only.
 struct MpKernel {
+  using Tag = std::uint16_t;
+  /// Doubles of an h-sample row: the samples, then the tags rounded up.
+  [[nodiscard]] static constexpr std::size_t row_doubles(std::size_t h) noexcept {
+    return h + (h * sizeof(Tag) + sizeof(double) - 1) / sizeof(double);
+  }
   static std::optional<double> update(const FilterConfig& c, FilterState& s,
                                       double* row, double raw_ms);
   static std::optional<double> estimate(const FilterConfig& c,
@@ -103,7 +113,7 @@ class FilterKernel {
   /// Doubles one row holds after its FilterState.
   [[nodiscard]] std::size_t row_doubles() const noexcept {
     return config_.kind == FilterKind::kMovingPercentile
-               ? 2 * static_cast<std::size_t>(config_.mp_history)
+               ? MpKernel::row_doubles(static_cast<std::size_t>(config_.mp_history))
                : 1;
   }
 

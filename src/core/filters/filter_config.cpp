@@ -12,6 +12,8 @@ void FilterConfig::validate() const {
       return;
     case FilterKind::kMovingPercentile:
       NC_CHECK_MSG(mp_history >= 1, "history must be >= 1");
+      // The MP row tags each sample with its 16-bit ring slot.
+      NC_CHECK_MSG(mp_history <= kMaxMpHistory, "history exceeds the arrival tags");
       NC_CHECK_MSG(mp_percentile >= 0.0 && mp_percentile <= 100.0,
                    "percentile out of range");
       NC_CHECK_MSG(mp_min_samples >= 1 && mp_min_samples <= mp_history,

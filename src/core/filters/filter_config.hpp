@@ -19,6 +19,9 @@ enum class FilterKind {
 struct FilterConfig {
   FilterKind kind = FilterKind::kMovingPercentile;
 
+  /// Longest MP history: a row tags each sample with a 16-bit ring slot.
+  static constexpr int kMaxMpHistory = 1 << 16;
+
   // Moving percentile parameters.
   int mp_history = 4;
   double mp_percentile = 25.0;
@@ -31,10 +34,10 @@ struct FilterConfig {
   double threshold_ms = 1000.0;
 
   /// Throws CheckError unless the selected kind's parameters are usable:
-  /// MP needs history >= 1, percentile in [0, 100] and min_samples in
-  /// [1, history]; EWMA needs alpha in (0, 1]; threshold needs a positive
-  /// cutoff. Allocates nothing on success, so owners call it at
-  /// construction, long before the first observation.
+  /// MP needs history in [1, kMaxMpHistory], percentile in [0, 100] and
+  /// min_samples in [1, history]; EWMA needs alpha in (0, 1]; threshold
+  /// needs a positive cutoff. Allocates nothing on success, so owners call
+  /// it at construction, long before the first observation.
   void validate() const;
   [[nodiscard]] std::string name() const;
 

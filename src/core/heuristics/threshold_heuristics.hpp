@@ -20,6 +20,9 @@ class AlwaysUpdateHeuristic final : public UpdateHeuristic {
   bool on_system_update(const UpdateContext& ctx, Coordinate& app) override;
   void reset() override {}
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
 };
 
 /// SYSTEM: update when one step of the system coordinate moved farther than
@@ -31,6 +34,9 @@ class SystemHeuristic final : public UpdateHeuristic {
   bool on_system_update(const UpdateContext& ctx, Coordinate& app) override;
   void reset() override;
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
 
  private:
   double tau_ms_;
@@ -45,6 +51,9 @@ class ApplicationHeuristic final : public UpdateHeuristic {
   bool on_system_update(const UpdateContext& ctx, Coordinate& app) override;
   void reset() override {}
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
 
  private:
   double tau_ms_;
@@ -59,6 +68,9 @@ class ApplicationCentroidHeuristic final : public UpdateHeuristic {
   bool on_system_update(const UpdateContext& ctx, Coordinate& app) override;
   void reset() override;
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
   [[nodiscard]] std::size_t window_bytes() const noexcept override {
     return recent_.bytes();
   }

@@ -46,6 +46,15 @@ class UpdateHeuristic {
   /// heuristics hold none.
   [[nodiscard]] virtual std::size_t window_bytes() const noexcept { return 0; }
 
+  /// Bytes of the concrete heuristic object (sizeof its final class).
+  [[nodiscard]] virtual std::size_t object_bytes() const noexcept = 0;
+
+  /// Heap bytes of a heap-allocated heuristic, as its owning client holds
+  /// it: the object plus its windows.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return object_bytes() + window_bytes();
+  }
+
  protected:
   UpdateHeuristic() = default;
   UpdateHeuristic(const UpdateHeuristic&) = default;

@@ -83,6 +83,9 @@ class RelativeHeuristic final : public WindowedHeuristic {
   /// eps_r: relative movement threshold (paper sweeps 0.1-0.9; knee at 0.3).
   RelativeHeuristic(double eps_r, int window);
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
 
  private:
   bool windows_differ(const UpdateContext& ctx) override;
@@ -112,6 +115,9 @@ class EnergyHeuristic final : public WindowedHeuristic {
   /// tau: energy-distance threshold (paper sweeps 1-256; knee at 8).
   EnergyHeuristic(double tau, int window);
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
 
   /// e(W_s, W_c) as compared with tau at the latest armed update (the one
   /// that fired, after a change point); 0 before the first.
@@ -143,6 +149,9 @@ class RankSumHeuristic final : public WindowedHeuristic {
   /// (smaller alpha => fewer updates).
   RankSumHeuristic(double alpha, int window);
   [[nodiscard]] std::unique_ptr<UpdateHeuristic> clone() const override;
+  [[nodiscard]] std::size_t object_bytes() const noexcept override {
+    return sizeof(*this);
+  }
   [[nodiscard]] std::size_t window_bytes() const noexcept override {
     return WindowedHeuristic::window_bytes() + dists_.capacity() * sizeof(double);
   }

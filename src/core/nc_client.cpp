@@ -1,5 +1,6 @@
 #include "core/nc_client.hpp"
 
+#include <algorithm>
 #include <new>
 
 #include "common/check.hpp"
@@ -28,8 +29,7 @@ std::uint32_t NCClient::link_for(NodeId remote) {
     idx = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    idx = static_cast<std::uint32_t>(slab_slots());
-    slab_.resize(slab_.size() + row_bytes_);
+    idx = fresh_slot();
   }
   // An empty FilterState is a fresh filter whatever the row held before —
   // pinned against fresh standalone filters by
@@ -40,6 +40,19 @@ std::uint32_t NCClient::link_for(NodeId remote) {
   return idx;
 }
 
+std::uint32_t NCClient::fresh_slot() {
+  if (slots_ % kChunkRows == 0) {
+    // Every chunk is full: add one, cut short where it would pass the cap
+    // (first contacts claim fresh slots only below it).
+    std::size_t rows = kChunkRows;
+    if (config_.max_tracked_links > 0)
+      rows = std::min(rows, config_.max_tracked_links - slots_);
+    chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(rows * row_bytes_));
+    chunk_bytes_ += rows * row_bytes_;
+  }
+  return slots_++;
+}
+
 void NCClient::evict_one_link() {
   // Clock-hand (second-chance) sweep: links observed since the hand last
   // passed get their reference bit cleared and survive; the first slot found
@@ -48,7 +61,7 @@ void NCClient::evict_one_link() {
   // bound the loop: after one pass every ref bit is clear, so the second
   // pass must evict (the slab holds at least one active slot here).
   if (active_links_ == 0) return;
-  const std::size_t slots = slab_slots();
+  const std::size_t slots = slots_;
   for (std::size_t step = 0; step < 2 * slots; ++step) {
     if (clock_hand_ >= slots) clock_hand_ = 0;
     LinkHeader& s = header(clock_hand_++);
@@ -131,10 +144,17 @@ ObservationOutcome NCClient::observe(NodeId remote, const Coordinate& remote_coo
   return out;
 }
 
+const void* NCClient::link_row(NodeId remote) const noexcept {
+  const auto slot = slot_of_.find(static_cast<std::uint32_t>(remote));
+  return slot.has_value() ? row(*slot) : nullptr;
+}
+
 std::size_t NCClient::memory_bytes() const noexcept {
-  return sizeof(*this) + slab_.capacity() + slot_of_.memory_bytes() +
+  return sizeof(*this) + chunk_bytes_ +
+         chunks_.capacity() * sizeof(std::unique_ptr<std::byte[]>) +
+         slot_of_.memory_bytes() +
          free_slots_.capacity() * sizeof(std::uint32_t) +
-         heuristic_->window_bytes();
+         heuristic_->memory_bytes();
 }
 
 }  // namespace nc

@@ -18,12 +18,16 @@
 //
 // Per-link state is one fixed-stride SLAB ROW per tracked link: a header
 // (remote id, reference bit, the filter's count and cursor) followed by the
-// filter kernel's doubles — for the paper's MP(4, 25) the 4-sample ring and
-// its sorted copy, 80 bytes in all. The client holds one FilterKernel, built
-// and validated from the config at construction, and drives it over the
-// row; nothing is allocated per link. An evicted row's slot goes on a free
-// list and the next first contact re-initializes it in place, so once the
-// slab has grown to the link cap, neighbor churn allocates nothing.
+// filter kernel's doubles — for the paper's MP(4, 25) the four samples
+// ascending and their arrival tags, 56 bytes in all. The client holds one
+// FilterKernel, built and validated from the config at construction, and
+// drives it over the row; nothing is allocated per link. The slab is a
+// list of fixed chunks of kChunkRows rows that never move, so growth
+// copies nothing and leaves at most one partly filled chunk, and no chunk
+// reaches past max_tracked_links rows. An evicted row's slot goes on a
+// free list and the next first contact re-initializes it in place, so
+// once the slab has grown to the link cap, neighbor churn allocates
+// nothing.
 //
 // The index itself is COMPACT (PR 7): a CompactSlotIndex bounded by the
 // live link count instead of the dense array that grew to the largest
@@ -121,14 +125,22 @@ class NCClient {
   [[nodiscard]] std::uint64_t absorbed_sample_count() const noexcept { return absorbed_; }
   [[nodiscard]] std::size_t tracked_link_count() const noexcept { return active_links_; }
   [[nodiscard]] std::uint64_t evicted_link_count() const noexcept { return evictions_; }
-  /// Start of the slab's row storage. Stays put once the slab has grown to
-  /// the link cap: evicted rows are re-initialized in place.
-  [[nodiscard]] const void* link_rows() const noexcept { return slab_.data(); }
+  /// Address of `remote`'s slab row, or nullptr when it holds none. Rows
+  /// never move, and an evicted row is re-initialized in place by a later
+  /// first contact.
+  [[nodiscard]] const void* link_row(NodeId remote) const noexcept;
 
   [[nodiscard]] const NCClientConfig& config() const noexcept { return config_; }
 
-  /// Bytes of per-client state (object + slab rows + id index + free list
-  /// + the heuristic's windows), for the per-run memory budget report.
+  /// Rows per slab chunk (1,792 bytes at MP(4, 25)). Smaller chunks leave
+  /// less of the last chunk empty but pay more allocations and allocator
+  /// headers; on the perfbench workloads 16 and 32 gave the lowest peak
+  /// RSS, 64 and 128 up to 2.7 MB more (DESIGN.md Sec. 9).
+  static constexpr std::size_t kChunkRows = 32;
+
+  /// Bytes this client holds: the object plus every heap block it owns
+  /// (slab chunks and their table, id index, free list, the heuristic
+  /// object and its windows), for the per-run memory budget report.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -148,11 +160,10 @@ class NCClient {
   /// contact.
   std::uint32_t link_for(NodeId remote);
   void evict_one_link();
-  [[nodiscard]] std::size_t slab_slots() const noexcept {
-    return slab_.size() / row_bytes_;
-  }
-  [[nodiscard]] std::byte* row(std::size_t slot) noexcept {
-    return slab_.data() + slot * row_bytes_;
+  /// A never-used slot, allocating its chunk when the last one is full.
+  [[nodiscard]] std::uint32_t fresh_slot();
+  [[nodiscard]] std::byte* row(std::size_t slot) const noexcept {
+    return chunks_[slot / kChunkRows].get() + slot % kChunkRows * row_bytes_;
   }
   [[nodiscard]] LinkHeader& header(std::size_t slot) noexcept {
     return *reinterpret_cast<LinkHeader*>(row(slot));
@@ -172,11 +183,16 @@ class NCClient {
   double app_error_ = 1.0;  // error_estimate() at the last app update
   bool app_initialized_ = false;
 
-  /// Fixed-stride link rows; active count bounded by max_tracked_links.
-  /// The allocator's byte storage is aligned for the header and the
-  /// doubles each row holds (rows are multiples of 8 bytes), and a row is
-  /// only ever accessed as those two types.
-  std::vector<std::byte> slab_;
+  /// Fixed-stride link rows in chunks of kChunkRows (the last chunk may be
+  /// shorter, to stop at max_tracked_links); slot s lives in chunk
+  /// s / kChunkRows. operator new[]'s storage is aligned for the header and
+  /// the doubles each row holds (rows are multiples of 8 bytes), and a row
+  /// is only ever accessed as those two types.
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  /// Slots handed out so far (live or on the free list).
+  std::uint32_t slots_ = 0;
+  /// Bytes of all chunks.
+  std::size_t chunk_bytes_ = 0;
   /// remote id -> slab slot, bounded by the live link count (eviction
   /// erases its entry) — O(max_tracked_links) bytes regardless of how many
   /// distinct remotes the client ever hears about.

@@ -168,7 +168,12 @@ void print_memory_budget(std::ostream& os, const ScenarioOutput& out) {
     if (m.snapshot_delta_bytes > 0)
       os << " (deltas=" << fmt_bytes(m.snapshot_delta_bytes) << ')';
   }
-  os << " total=" << fmt_bytes(m.total()) << '\n';
+  os << " total=" << fmt_bytes(m.total());
+  // Replay only: the trace generator's link lanes and buffers sit outside
+  // the engine's budget.
+  if (const std::uint64_t gen = out.generator_memory.total(); gen > 0)
+    os << " generator=" << fmt_bytes(gen);
+  os << '\n';
 }
 
 }  // namespace nc::eval

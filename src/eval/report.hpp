@@ -68,7 +68,8 @@ void print_backend_comparison(
     std::ostream& os, const std::string& title,
     const std::vector<std::pair<std::string, const ScenarioOutput*>>& runs);
 
-/// One memory-budget breakdown line (clients/links/estimator/mailbox).
+/// One memory-budget breakdown line (clients/links/estimator/mailbox),
+/// then the trace generator's bytes for a replay run.
 void print_memory_budget(std::ostream& os, const ScenarioOutput& out);
 
 }  // namespace nc::eval

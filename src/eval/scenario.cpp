@@ -90,9 +90,10 @@ ScenarioOutput run_replay_mode(const ScenarioSpec& spec) {
   for (NodeId id = 0; id < engine.num_nodes(); ++id)
     absorbed += engine.client(id).absorbed_sample_count();
   ScenarioOutput out{std::move(engine.metrics()), gen.produced(),
-                     gen.attempts(), absorbed, 0, 0, {}, {}};
+                     gen.attempts(), absorbed, 0, 0, {}, {}, {}};
   out.estimator_stats = out.metrics.estimator_stats();
   out.memory = engine.memory_budget();
+  out.generator_memory = gen.memory_bytes();
   return out;
 }
 
@@ -110,7 +111,7 @@ ScenarioOutput run_online_mode(const ScenarioSpec& spec) {
       resolve_route_changes(w));
   simulator.run();
   ScenarioOutput out{std::move(simulator.metrics()), 0, 0, 0,
-                     simulator.pings_sent(), simulator.pings_lost(), {}, {}};
+                     simulator.pings_sent(), simulator.pings_lost(), {}, {}, {}};
   out.estimator_stats = out.metrics.estimator_stats();
   out.memory = simulator.memory_budget();
   return out;

@@ -123,6 +123,9 @@ struct ScenarioOutput {
   est::EstimatorStats estimator_stats;
   /// End-of-run byte accounting of the engine's state blocks.
   sim::MemoryBudget memory;
+  /// Replay mode: the trace generator's bytes once drained, outside the
+  /// engine's budget (all zero online).
+  lat::TraceGenMemory generator_memory;
 };
 
 /// Runs one scenario to completion. Pure: equal specs => equal outputs.

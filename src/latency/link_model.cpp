@@ -17,16 +17,18 @@ void LinkDynamics::init(Rng& rng, double t, const LinkModelConfig& config) {
   next_burst_t = next_poisson_event_after(rng, t, config.link_burst_rate_hz);
 }
 
-void LinkDynamics::advance(Rng& rng, double t, const LinkModelConfig& config) {
+void LinkDynamics::advance(Rng& rng, double t, const LinkModelConfig& config,
+                           const RouteSchedules& schedules) {
   if (!route_changes_frozen) {
     while (next_route_change_t <= t) {
       route_factor = rng.uniform(config.route_factor_min, config.route_factor_max);
       next_route_change_t += rng.exponential(config.route_change_rate_hz);
     }
   }
-  while (!scheduled.empty() && scheduled.front().first <= t) {
-    route_factor = scheduled.front().second;
-    scheduled.erase(scheduled.begin());
+  if (schedule != kNoSchedule) {
+    const RouteSteps& steps = schedules[schedule];
+    while (schedule_cursor < steps.size() && steps[schedule_cursor].first <= t)
+      route_factor = steps[schedule_cursor++].second;
   }
   while (next_burst_t <= t) {
     burst_end_t =
@@ -123,29 +125,32 @@ std::uint64_t LatencyNetwork::link_key(NodeId i, NodeId j) noexcept {
   return (lo << 32) | hi;
 }
 
-LatencyNetwork::LinkState& LatencyNetwork::link_slot(NodeId i, NodeId j) {
+LatencyNetwork::LinkState& LatencyNetwork::link_slot(NodeId i, NodeId j,
+                                                     double t) {
+  static_assert(sizeof(LinkState) == 96, "stream, last time, dynamics");
   NC_CHECK_MSG(i >= 0 && j >= 0 && i != j && i < topology_.size() &&
                    j < topology_.size(),
                "bad link endpoints");
   const auto lo = static_cast<std::size_t>(std::min(i, j));
   const std::size_t lanes = lanes_.size();
-  return lanes_[lo % lanes].links.at(lo / lanes,
-                                     static_cast<std::size_t>(std::max(i, j)));
-}
-
-LatencyNetwork::LinkState& LatencyNetwork::link_at(NodeId i, NodeId j, double t) {
-  LinkState& s = link_slot(i, j);
-  if (!s.initialized) {
+  LinkState& s = lanes_[lo % lanes].links.at(
+      lo / lanes, static_cast<std::size_t>(std::max(i, j)));
+  if (!s.dyn.initialized) {
     // Lazy stream seeding at first-touch time; the derivation key is the
     // same (lo, hi) pair as always, so every seed maps to the same trace.
-    s.initialized = true;
+    s.dyn.initialized = true;
     s.rng = Rng::derived(seed_, rngstream::kLink, link_key(i, j));
     s.dyn.init(s.rng, t, config_);
     s.last_t = t;
   }
+  return s;
+}
+
+LatencyNetwork::LinkState& LatencyNetwork::link_at(NodeId i, NodeId j, double t) {
+  LinkState& s = link_slot(i, j, t);
   NC_CHECK_MSG(t >= s.last_t - 1e-9, "link time went backwards");
   s.last_t = t;
-  s.dyn.advance(s.rng, t, config_);
+  s.dyn.advance(s.rng, t, config_, schedules_);
   return s;
 }
 
@@ -207,19 +212,48 @@ void LatencyNetwork::force_route_change(NodeId i, NodeId j, double factor, doubl
 void LatencyNetwork::schedule_route_change(NodeId i, NodeId j, double factor,
                                            double at_t) {
   NC_CHECK_MSG(factor > 0.0, "route factor must be positive");
-  LinkState& s = link_slot(i, j);
-  if (!s.initialized) {
-    // Initialize exactly as link_at would at first sample time; the first
-    // real sample will advance from here.
-    s.initialized = true;
-    s.rng = Rng::derived(seed_, rngstream::kLink, link_key(i, j));
-    s.dyn.init(s.rng, 0.0, config_);
-    s.last_t = 0.0;
-  }
+  // An untouched link is seeded at t = 0, as link_at would at its first
+  // sample; that sample advances from here.
+  LinkState& s = link_slot(i, j, 0.0);
   NC_CHECK_MSG(s.last_t <= at_t, "link already advanced past at_t");
   s.dyn.route_changes_frozen = true;
-  s.dyn.scheduled.emplace_back(at_t, factor);
-  std::sort(s.dyn.scheduled.begin(), s.dyn.scheduled.end());
+  if (s.dyn.schedule == LinkDynamics::kNoSchedule) {
+    NC_CHECK_MSG(schedules_.size() < LinkDynamics::kNoSchedule,
+                 "too many scheduled links");
+    s.dyn.schedule = static_cast<std::uint32_t>(schedules_.size());
+    schedules_.emplace_back();
+  }
+  // Applied steps are gone; the new one joins the pending ones in
+  // (at_t, factor) order.
+  RouteSteps& steps = schedules_[s.dyn.schedule];
+  const std::pair<double, double> step{at_t, factor};
+  steps.insert(std::upper_bound(steps.begin() + s.dyn.schedule_cursor,
+                                steps.end(), step),
+               step);
+}
+
+std::size_t LatencyNetwork::link_count() const noexcept {
+  std::size_t links = 0;
+  for (const LinkLane& lane : lanes_) links += lane.links.size();
+  return links;
+}
+
+std::size_t LatencyNetwork::link_bytes() const noexcept {
+  std::size_t bytes = lanes_.capacity() * sizeof(LinkLane);
+  for (const LinkLane& lane : lanes_) bytes += lane.links.memory_bytes();
+  return bytes;
+}
+
+std::size_t LatencyNetwork::route_schedule_bytes() const noexcept {
+  std::size_t bytes = schedules_.capacity() * sizeof(RouteSteps);
+  for (const RouteSteps& steps : schedules_)
+    bytes += steps.capacity() * sizeof(RouteSteps::value_type);
+  return bytes;
+}
+
+std::size_t LatencyNetwork::node_bytes() const noexcept {
+  return nodes_.capacity() * sizeof(NodeState) +
+         (node_init_.capacity() + 7) / 8;
 }
 
 }  // namespace nc::lat

@@ -88,6 +88,16 @@ struct AvailabilityConfig;
 /// Next Poisson event time after `t`; rate 0 means "never" (1e18).
 [[nodiscard]] double next_poisson_event_after(Rng& rng, double t, double rate_hz);
 
+/// One link's controlled route steps, (at_t, factor) sorted ascending.
+using RouteSteps = std::vector<std::pair<double, double>>;
+
+/// The scheduled steps of every link that has any, owned by the table that
+/// owns the links (LatencyNetwork, the sharded engine). Almost no link has
+/// a schedule, so a link only names its entry by index and keeps a cursor
+/// into it: eight bytes per link. An index, not a pointer, so a moved
+/// owner's links stay valid.
+using RouteSchedules = std::vector<RouteSteps>;
+
 /// The stochastic processes of one link (route factor + delay bursts),
 /// shared by LatencyNetwork's undirected links and the sharded engine's
 /// directed links so trace generation and online runs can never drift
@@ -95,18 +105,28 @@ struct AvailabilityConfig;
 /// random route changes, scheduled steps, bursts) is part of every seed's
 /// defined trace — never reorder it.
 struct LinkDynamics {
+  static constexpr std::uint32_t kNoSchedule = ~std::uint32_t{0};
+
   double route_factor = 1.0;
   double next_route_change_t = 0.0;
   double burst_end_t = -1.0;
   double next_burst_t = 0.0;
+  /// The link's entry in its owner's RouteSchedules, or kNoSchedule.
+  std::uint32_t schedule = kNoSchedule;
+  /// Steps of that entry already applied; the rest are pending.
+  std::uint32_t schedule_cursor = 0;
   bool route_changes_frozen = false;
-  std::vector<std::pair<double, double>> scheduled;  // (at_t, factor), sorted
+  /// Set at first touch, once the link's stream is seeded.
+  bool initialized = false;
 
   /// First-touch initialization at time t (draws the first event times).
   void init(Rng& rng, double t, const LinkModelConfig& config);
-  /// Advances route-factor/burst state to time t (t non-decreasing).
-  void advance(Rng& rng, double t, const LinkModelConfig& config);
+  /// Advances route-factor/burst state to time t (t non-decreasing),
+  /// applying the due steps of the link's entry in `schedules`.
+  void advance(Rng& rng, double t, const LinkModelConfig& config,
+               const RouteSchedules& schedules);
 };
+static_assert(sizeof(LinkDynamics) == 48, "four times, two indexes, two flags");
 
 /// One node's availability (up/down churn) and overload-burst processes,
 /// shared by LatencyNetwork and the sharded engine. Same draw-order
@@ -214,19 +234,31 @@ class LatencyNetwork {
   /// Schedules a controlled route change to take effect once the link is
   /// next sampled at or after `at_t` (also freezes random route changes on
   /// that link so the step stays clean). Must be scheduled before the link
-  /// reaches `at_t`.
+  /// reaches `at_t`. Steps already applied are gone; the new one joins the
+  /// link's pending steps in (at_t, factor) order. Writes the shared
+  /// route-schedule table, so never while link stages run concurrently.
   void schedule_route_change(NodeId i, NodeId j, double factor, double at_t);
 
   /// sample_rtt calls so far, and how many of them lost the ping.
   [[nodiscard]] std::uint64_t sample_count() const noexcept { return samples_; }
   [[nodiscard]] std::uint64_t loss_count() const noexcept { return losses_; }
 
+  /// Undirected links touched so far, over all lanes.
+  [[nodiscard]] std::size_t link_count() const noexcept;
+  /// Heap bytes of the link lanes: slab blocks, row indexes, free lists
+  /// and the lane array itself (96 bytes per link slot).
+  [[nodiscard]] std::size_t link_bytes() const noexcept;
+  /// Heap bytes of the route-schedule table.
+  [[nodiscard]] std::size_t route_schedule_bytes() const noexcept;
+  /// Heap bytes of the per-node state.
+  [[nodiscard]] std::size_t node_bytes() const noexcept;
+
  private:
+  /// 96 bytes: the link's stream, its last sample time and its dynamics.
   struct LinkState {
     Rng rng;
     double last_t = -1e18;
     LinkDynamics dyn;
-    bool initialized = false;
   };
   struct NodeState {
     Rng rng;
@@ -241,9 +273,11 @@ class LatencyNetwork {
   };
 
   [[nodiscard]] static std::uint64_t link_key(NodeId i, NodeId j) noexcept;
-  /// The undirected link {i, j}'s state, created on first touch (lane and
-  /// row from the lower id). Throws on out-of-range ids or i == j.
-  LinkState& link_slot(NodeId i, NodeId j);
+  /// The undirected link {i, j}'s state (lane and row from the lower id),
+  /// its stream seeded at `t` on first touch. Throws on out-of-range ids or
+  /// i == j.
+  LinkState& link_slot(NodeId i, NodeId j, double t);
+  /// link_slot(i, j, t), advanced to t.
   LinkState& link_at(NodeId i, NodeId j, double t);
   NodeState& node_at(NodeId i, double t);
 
@@ -256,6 +290,9 @@ class LatencyNetwork {
   /// Slots are lazily stream-seeded at first-touch time from the link's
   /// own key.
   std::vector<LinkLane> lanes_;
+  /// Steps from schedule_route_change, one entry per scheduled link; read
+  /// by every lane, never written while link stages run concurrently.
+  RouteSchedules schedules_;
   std::vector<NodeState> nodes_;
   std::vector<bool> node_init_;
   std::uint64_t samples_ = 0;

@@ -217,6 +217,24 @@ std::optional<TraceRecord> TraceGenerator::next() {
   }
 }
 
+TraceGenMemory TraceGenerator::memory_bytes() const {
+  for (const Chunk& chunk : chunks_)
+    for (std::uint32_t p; (p = chunk.pending.load(std::memory_order_acquire)) != 0;)
+      chunk.pending.wait(p, std::memory_order_acquire);
+  TraceGenMemory m;
+  m.link_bytes = network_.link_bytes();
+  m.route_schedule_bytes = network_.route_schedule_bytes();
+  m.node_bytes = network_.node_bytes();
+  for (const Chunk& chunk : chunks_) {
+    m.chunk_bytes += chunk.lanes.capacity() * sizeof(Lane) + chunk.order.capacity();
+    for (const Lane& lane : chunk.lanes)
+      m.chunk_bytes += lane.jobs.capacity() * sizeof(LinkJob);
+  }
+  m.ping_schedule_bytes = ring_.capacity() * sizeof(PingSlot) +
+                          rr_counter_.capacity() * sizeof(std::uint64_t);
+  return m;
+}
+
 std::uint64_t generate_trace_file(const TraceGenConfig& config,
                                   const std::string& path) {
   TraceGenerator gen(config);

@@ -9,9 +9,9 @@
 // 1 Hz schedule would yield.
 //
 // Memory is O(nodes) for the schedule and node state plus O(links touched)
-// for link state: one ~128-byte slot per undirected link sampled so far,
-// ~150 MB at n = 2048 over 900 s, where nearly every ping meets a fresh
-// link.
+// for link state: one 96-byte slot per undirected link sampled so far,
+// plus its share of the row indexes — ~112 bytes per link in all, 119 MB
+// at n = 2048 over 900 s. memory_bytes() reports the parts.
 //
 // Records are generated one chunk of schedule slots at a time, in two
 // stages (LatencyNetwork::node_stage / link_stage). The node stage walks
@@ -48,6 +48,19 @@ struct TraceGenConfig {
   std::uint64_t seed = 1;
 };
 
+/// Heap bytes a TraceGenerator holds, by part.
+struct TraceGenMemory {
+  std::uint64_t link_bytes = 0;            // the network's link lanes
+  std::uint64_t route_schedule_bytes = 0;  // the network's route-step table
+  std::uint64_t node_bytes = 0;            // the network's per-node state
+  std::uint64_t chunk_bytes = 0;           // chunk job lanes and hand-out order
+  std::uint64_t ping_schedule_bytes = 0;   // ping ring and round-robin counters
+  [[nodiscard]] std::uint64_t total() const noexcept {
+    return link_bytes + route_schedule_bytes + node_bytes + chunk_bytes +
+           ping_schedule_bytes;
+  }
+};
+
 class TraceGenerator final : public TraceSource {
  public:
   /// Runs the link stage on default_workers(nodes) workers.
@@ -82,6 +95,10 @@ class TraceGenerator final : public TraceSource {
   [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
 
   [[nodiscard]] int workers() const noexcept { return network_.link_lanes(); }
+
+  /// Heap bytes held right now. Waits for any chunk still in its link
+  /// stage first, so the link lanes are read while no worker writes them.
+  [[nodiscard]] TraceGenMemory memory_bytes() const;
 
   /// The worker count for a trace over `num_nodes` nodes on this host:
   /// one below kMinParallelNodes, else the hardware thread count capped at

@@ -118,9 +118,14 @@ ShardedEngine::ShardedEngine(const OnlineSimConfig& config, int shards,
     NC_CHECK_MSG(rc.factor > 0.0, "route factor must be positive");
     NC_CHECK_MSG(rc.i >= 0 && rc.i < n && rc.j >= 0 && rc.j < n && rc.i != rc.j,
                  "bad route-change link");
-    route_changes_[undirected_key(rc.i, rc.j)].emplace_back(rc.at_t, rc.factor);
+    const auto [it, fresh] = route_schedule_of_.try_emplace(
+        undirected_key(rc.i, rc.j),
+        static_cast<std::uint32_t>(route_schedules_.size()));
+    if (fresh) route_schedules_.emplace_back();
+    route_schedules_[it->second].emplace_back(rc.at_t, rc.factor);
   }
-  for (auto& [key, steps] : route_changes_) std::sort(steps.begin(), steps.end());
+  for (lat::RouteSteps& steps : route_schedules_)
+    std::sort(steps.begin(), steps.end());
 
   NC_CHECK_MSG(config.bootstrap_degree >= 1, "need at least one bootstrap peer");
   NC_CHECK_MSG(config.bootstrap_degree < n,
@@ -304,20 +309,21 @@ void ShardedEngine::advance_node_dyn(NodeId id, double t) {
 
 ShardedEngine::DirLink& ShardedEngine::link_at(Shard& shard, NodeId src,
                                                NodeId dst, double t) {
+  static_assert(sizeof(DirLink) == 88, "stream and dynamics");
   DirLink& s = shard.links.at(static_cast<std::size_t>(src),
                               static_cast<std::size_t>(dst));
-  if (!s.initialized) {
-    s.initialized = true;
+  if (!s.dyn.initialized) {
+    s.dyn.initialized = true;
     s.rng = Rng::derived(config_.seed, rngstream::kDirectedLink,
                          directed_key(src, dst));
     s.dyn.init(s.rng, t, link_config_);
-    if (const auto it = route_changes_.find(undirected_key(src, dst));
-        it != route_changes_.end()) {
-      s.dyn.scheduled = it->second;  // already sorted at construction
+    if (const auto it = route_schedule_of_.find(undirected_key(src, dst));
+        it != route_schedule_of_.end()) {
+      s.dyn.schedule = it->second;
       s.dyn.route_changes_frozen = true;  // controlled steps stay clean
     }
   }
-  s.dyn.advance(s.rng, t, link_config_);
+  s.dyn.advance(s.rng, t, link_config_, route_schedules_);
   return s;
 }
 
@@ -879,7 +885,7 @@ void ShardedEngine::pack_departures(Shard& shard, int shard_idx) {
     // identically from its derived stream wherever it is first touched.
     if (mode_ == Mode::kOnline)
       shard.links.extract_row(static_cast<std::size_t>(m.node), mig.links,
-                              [](const DirLink& l) { return l.initialized; });
+                              [](const DirLink& l) { return l.dyn.initialized; });
     mig.estimator = shard.estimator->extract_node_state(m.node);
     mig.metrics = shard.collector->extract_node_state(m.node);
     shard.queue.extract_node_events(m.node, mig.pending);

@@ -349,16 +349,17 @@ class ShardedEngine {
     double burst_end_t = -1.0;
   };
 
-  /// Latency state of one DIRECTED link, owned by the source node's shard.
-  /// Streams are per direction (route factor, bursts, jitter draws evolve
-  /// independently for i->j and j->i); controlled route changes apply to
-  /// both directions. The state machine is the shared lat::LinkDynamics.
-  /// Initialization stays lazy (stream seeded at first-touch time), but the
-  /// slot itself lives in the shard's dense directed-link store.
+  /// Latency state of one DIRECTED link, owned by the source node's shard:
+  /// 88 bytes. Streams are per direction (route factor, bursts, jitter
+  /// draws evolve independently for i->j and j->i); controlled route
+  /// changes apply to both directions, each with its own cursor into the
+  /// link's one entry of route_schedules_. The state machine is the shared
+  /// lat::LinkDynamics. Initialization stays lazy (stream seeded at
+  /// first-touch time), but the slot itself lives in the shard's
+  /// directed-link store.
   struct DirLink {
     Rng rng;
     lat::LinkDynamics dyn;
-    bool initialized = false;
   };
 
   /// One node's packed state crossing shards at a rebalance barrier, staged
@@ -470,11 +471,13 @@ class ShardedEngine {
   lat::Topology topology_;  // online mode only
   lat::LinkModelConfig link_config_;
   lat::AvailabilityConfig availability_;
-  /// Scheduled route changes indexed by undirected link key, so lazy link
-  /// initialization looks its schedule up in O(1) instead of scanning the
-  /// full list (regional-shift presets schedule O(n) links at once).
-  std::unordered_map<std::uint64_t, std::vector<std::pair<double, double>>>
-      route_changes_;
+  /// Scheduled route changes: one sorted step list per scheduled link,
+  /// read-only once built, and the entry of each undirected link key, so
+  /// lazy link initialization finds its schedule in O(1) instead of
+  /// scanning the full list (regional-shift presets schedule O(n) links at
+  /// once).
+  lat::RouteSchedules route_schedules_;
+  std::unordered_map<std::uint64_t, std::uint32_t> route_schedule_of_;
 
   // Node-indexed state; each element is touched only by its owner shard
   // during parallel phases (snapshots_ additionally read by all shards in

@@ -149,30 +149,50 @@ TEST(MpFilter, DuplicateValuesEvictCorrectly) {
   EXPECT_EQ(f.update(9.0), 9.0);  // {9,9,9}
 }
 
-// Property: against a brute-force sliding window for any (h, p).
+// Property: against a brute-force sliding window for any (h, p), on a
+// continuous stream and on a tie-heavy one drawn from five values (so an
+// eviction meets duplicates of the outgoing sample). The grid drives a
+// standalone MovingPercentileFilter and, like NCClient, a bare FilterKernel
+// over three rows packed in one buffer and fed interleaved.
 class MpFilterProperty
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
 
 TEST_P(MpFilterProperty, MatchesBruteForceWindow) {
   const auto [h, p] = GetParam();
-  Rng rng(hash_combine(static_cast<std::uint64_t>(h), static_cast<std::uint64_t>(p)));
-  MovingPercentileFilter f(h, p);
-  std::deque<double> window;
-  for (int i = 0; i < 300; ++i) {
-    const double x = rng.lognormal(3.5, 1.0);
-    window.push_back(x);
-    if (static_cast<int>(window.size()) > h) window.pop_front();
-    std::vector<double> sorted(window.begin(), window.end());
-    std::sort(sorted.begin(), sorted.end());
-    const double expected = stats::percentile_nearest_rank_sorted(sorted, p);
-    ASSERT_EQ(f.update(x), expected) << "h=" << h << " p=" << p << " i=" << i;
+  constexpr std::size_t kRows = 3;
+  const FilterConfig config = FilterConfig::moving_percentile(h, p);
+  const FilterKernel kernel(config);
+  const std::size_t stride = kernel.row_doubles();
+  for (const bool ties : {false, true}) {
+    Rng rng(hash_combine(static_cast<std::uint64_t>(h), static_cast<std::uint64_t>(p)));
+    MovingPercentileFilter f(h, p);
+    std::vector<FilterState> states(kRows);
+    std::vector<double> slab(kRows * stride, -1.0);
+    std::vector<std::deque<double>> windows(kRows);
+    for (int i = 0; i < 300 * static_cast<int>(kRows); ++i) {
+      const double x = ties ? 10.0 * static_cast<double>(1 + rng.uniform_int(5))
+                            : rng.lognormal(3.5, 1.0);
+      const auto row = static_cast<std::size_t>(i) % kRows;
+      std::deque<double>& window = windows[row];
+      window.push_back(x);
+      if (static_cast<int>(window.size()) > h) window.pop_front();
+      std::vector<double> sorted(window.begin(), window.end());
+      std::sort(sorted.begin(), sorted.end());
+      const double expected = stats::percentile_nearest_rank_sorted(sorted, p);
+      ASSERT_EQ(kernel.update(states[row], slab.data() + row * stride, x), expected)
+          << "h=" << h << " p=" << p << " ties=" << ties << " i=" << i;
+      if (row == 0) {
+        ASSERT_EQ(f.update(x), expected)
+            << "h=" << h << " p=" << p << " ties=" << ties << " i=" << i;
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, MpFilterProperty,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8, 16, 64),
-                       ::testing::Values(0.0, 25.0, 50.0, 75.0, 100.0)));
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 8, 16, 32, 64, 128),
+                       ::testing::Values(0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0)));
 
 // ----------------------------------------------------------------- EWMA --
 
@@ -252,10 +272,13 @@ TEST(IdentityFilter, PassThrough) {
 // --------------------------------------------------------------- Config --
 
 TEST(FilterConfig, FactoryProducesConfiguredKind) {
-  // MP keeps its ring and the ring's sorted copy; the others one value.
+  // MP keeps h samples and h 16-bit tags, rounded up to whole doubles; the
+  // others one value.
   EXPECT_EQ(FilterKernel(FilterConfig::none()).row_doubles(), 1u);
-  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(4, 25)).row_doubles(), 8u);
-  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(128, 25)).row_doubles(), 256u);
+  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(1, 25)).row_doubles(), 2u);
+  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(4, 25)).row_doubles(), 5u);
+  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(5, 25)).row_doubles(), 7u);
+  EXPECT_EQ(FilterKernel(FilterConfig::moving_percentile(128, 25)).row_doubles(), 160u);
   EXPECT_EQ(FilterKernel(FilterConfig::ewma(0.1)).row_doubles(), 1u);
   EXPECT_EQ(FilterKernel(FilterConfig::threshold(500)).row_doubles(), 1u);
   // The named owners select their kind's kernel.
@@ -283,6 +306,8 @@ TEST(FilterConfig, ValidateRejectsBadParametersOfTheSelectedKind) {
       FilterConfig::moving_percentile(4, 100.5),
       FilterConfig::moving_percentile(4, 25.0, 0),
       FilterConfig::moving_percentile(4, 25.0, 5),
+      // A 16-bit arrival tag cannot index a longer window.
+      FilterConfig::moving_percentile(FilterConfig::kMaxMpHistory + 1, 25.0),
       FilterConfig::ewma(0.0),
       FilterConfig::ewma(1.5),
       FilterConfig::threshold(0.0),
@@ -298,6 +323,8 @@ TEST(FilterConfig, ValidateRejectsBadParametersOfTheSelectedKind) {
   EXPECT_NO_THROW(ewma.validate());
   EXPECT_NO_THROW(FilterConfig::moving_percentile(1, 0.0).validate());
   EXPECT_NO_THROW(FilterConfig::moving_percentile(4, 100.0, 4).validate());
+  EXPECT_NO_THROW(
+      FilterConfig::moving_percentile(FilterConfig::kMaxMpHistory, 25.0).validate());
   EXPECT_NO_THROW(FilterConfig::ewma(1.0).validate());
 }
 

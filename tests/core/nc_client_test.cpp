@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -193,9 +194,9 @@ TEST(NCClient, SlabLinkStateMatchesClockHandReference) {
 }
 
 // Evicted rows are re-initialized in place: once the slab has grown to the
-// link cap, a first contact claims a freed row and allocates nothing — the
-// row storage never moves and the byte count never changes, however many
-// remotes churn through.
+// link cap, a first contact claims a freed row and allocates nothing — every
+// new remote lands in one of the rows the cap filled, and the byte count
+// never changes, however many remotes churn through.
 TEST(NCClient, EvictedSlotsAreReusedInPlace) {
   NCClientConfig cfg = basic_config();
   cfg.max_tracked_links = 6;
@@ -208,21 +209,47 @@ TEST(NCClient, EvictedSlotsAreReusedInPlace) {
     t += 1.0;
   };
   for (int i = 0; i < 7; ++i) contact_new_remote();  // fill, then one eviction
-  const void* rows = c.link_rows();
+  std::set<const void*> rows;
+  for (NodeId id = 1; id < next; ++id)
+    if (const void* row = c.link_row(id)) rows.insert(row);
+  ASSERT_EQ(rows.size(), 6u);
   const std::size_t bytes = c.memory_bytes();
   const std::uint64_t evicted = c.evicted_link_count();
   for (int i = 0; i < 1200; ++i) {
+    const NodeId remote = next;
     contact_new_remote();
-    ASSERT_EQ(c.link_rows(), rows) << "first contact " << i;
+    ASSERT_EQ(rows.count(c.link_row(remote)), 1u) << "first contact " << i;
     ASSERT_EQ(c.memory_bytes(), bytes) << "first contact " << i;
   }
   EXPECT_EQ(c.tracked_link_count(), 6u);
   EXPECT_EQ(c.evicted_link_count(), evicted + 1200u);
 }
 
+// The slab grows by whole chunks and never moves one: a row keeps its
+// address, and its filter state, while thousands of first contacts grow
+// the slab around it.
+TEST(NCClient, LinkRowsStayPutAsTheSlabGrows) {
+  NCClientConfig cfg = basic_config();
+  cfg.max_tracked_links = 0;
+  NCClient c(0, cfg);
+  c.observe(1, Coordinate{Vec{10.0, 0.0}}, 0.5, 10.0, 0.0);
+  const void* row = c.link_row(1);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(c.link_row(2), nullptr);
+  for (NodeId id = 2; id <= 5000; ++id) {
+    c.observe(id, Coordinate{Vec{10.0, 0.0}}, 0.5, 50.0, static_cast<double>(id));
+    ASSERT_EQ(c.link_row(1), row) << "after remote " << id;
+  }
+  // Remote 1's window still holds its one 10 ms sample.
+  EXPECT_EQ(c.observe(1, Coordinate{Vec{10.0, 0.0}}, 0.5, 30.0, 5001.0)
+                .filtered_rtt_ms,
+            10.0);
+}
+
 // The paper's MP(4, 25) needs four samples per link; with every row live,
-// the whole client — object, slab rows, index, free list — costs at most
-// 128 bytes per tracked link.
+// the whole client — object, slab rows, index, free list, heuristic —
+// costs at most 80 bytes per tracked link: a 56-byte row plus its share of
+// the index.
 TEST(NCClient, MemoryPerTrackedLinkWithinBound) {
   NCClientConfig cfg = basic_config();
   cfg.filter = FilterConfig::moving_percentile(4, 25.0);
@@ -231,13 +258,14 @@ TEST(NCClient, MemoryPerTrackedLinkWithinBound) {
   for (NodeId id = 1; id <= 4096; ++id)
     c.observe(id, Coordinate{Vec{10.0, 0.0}}, 0.5, 10.0, static_cast<double>(id));
   ASSERT_EQ(c.tracked_link_count(), 4096u);
-  EXPECT_LE(c.memory_bytes() / c.tracked_link_count(), 128u);
+  EXPECT_LE(c.memory_bytes() / c.tracked_link_count(), 80u);
 }
 
 // The budget counts the heuristics' windows exactly: a windowed heuristic
 // holds W_s (k points) and the W_c ring (k + 1 points), d doubles per point,
 // plus RANKSUM's two k-entry distance reductions; APPLICATION/CENTROID holds
-// a k-point ring.
+// a k-point ring. Beside the windows, the two clients differ only in the
+// size of their heuristic objects.
 TEST(NCClient, MemoryBytesCountHeuristicWindows) {
   const std::size_t k = 32;
   struct Case {
@@ -270,7 +298,10 @@ TEST(NCClient, MemoryBytesCountHeuristicWindows) {
       a.observe(2, remote, 0.5, rtt, t);
       b.observe(2, remote, 0.5, rtt, t);
     }
-    EXPECT_EQ(b.memory_bytes(), a.memory_bytes() + c.bytes) << c.heuristic.name();
+    const std::size_t objects = c.heuristic.make()->object_bytes() -
+                                plain.heuristic.make()->object_bytes();
+    EXPECT_EQ(b.memory_bytes(), a.memory_bytes() + objects + c.bytes)
+        << c.heuristic.name();
   }
 }
 

@@ -430,6 +430,34 @@ TEST(TraceGenerator, DestructorJoinsWorkersAtAnyPoint) {
   EXPECT_EQ(drained.attempts(), 200u * 600u);
 }
 
+// The generator's bytes split by part and add up to its total, and its
+// link lanes cost at most 125 bytes per touched link: a 96-byte slot plus
+// its share of the row indexes and of each lane's last, partly filled slab
+// block. A PlanetLab-sized trace (269 nodes) over 900 s touches most
+// of its 36k links. A scheduled route step shows in its own part.
+TEST(TraceGenerator, MemoryBytesSumTheirPartsPerTouchedLink) {
+  TraceGenConfig c;
+  c.topology.num_nodes = 269;
+  c.duration_s = 900.0;
+  c.seed = 41;
+  for (int workers : {1, 4}) {
+    TraceGenerator gen(c, workers);
+    gen.network().schedule_route_change(3, 7, 1.5, 450.0);
+    while (gen.next()) {
+    }
+    const TraceGenMemory m = gen.memory_bytes();
+    EXPECT_EQ(m.total(), m.link_bytes + m.route_schedule_bytes + m.node_bytes +
+                             m.chunk_bytes + m.ping_schedule_bytes);
+    EXPECT_GT(m.route_schedule_bytes, 0u);
+    EXPECT_GT(m.node_bytes, 0u);
+    EXPECT_GT(m.chunk_bytes, 0u);
+    EXPECT_GT(m.ping_schedule_bytes, 0u);
+    const std::size_t links = gen.network().link_count();
+    EXPECT_GT(links, 25000u) << "W=" << workers;
+    EXPECT_LE(m.link_bytes / links, 125u) << "W=" << workers;
+  }
+}
+
 TEST(TraceGenerator, ChurnSuppressesDownNodes) {
   TraceGenConfig c = small_config();
   c.availability.enabled = true;
