@@ -238,6 +238,77 @@ void BM_ShardEventQueueEpochBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardEventQueueEpochBatch);
 
+// One online-shaped epoch through the shard hand-off at W = 4: each of a
+// shard's 512 nodes sends one ping, one pong carrying both coordinates and
+// one dst-error record to a peer's shard (send); then each receiver merges
+// its dst-error column, appends its event column to staging with clamped
+// times (collect), hands it to its queue (push_batch) and pops it all.
+// Reported per event, dst-error records included.
+void BM_EpochMailboxDelivery(benchmark::State& state) {
+  constexpr int kShards = 4;
+  constexpr int kNodesPerShard = 512;
+  constexpr int kNodes = kShards * kNodesPerShard;
+  constexpr double kInterval = 5.0;
+  sim::EpochMailbox mailbox(kShards, 2 * kNodesPerShard / kShards + 8,
+                            kNodesPerShard / kShards + 8);
+  std::vector<sim::ShardEventQueue> queues(kShards);
+  std::vector<std::vector<sim::ShardEvent>> staging(kShards);
+  std::vector<std::vector<sim::DstErrorRecord>> dst_errors(kShards);
+  Rng rng(5);
+  const Coordinate coord(rng.unit_vector(8) * 40.0, 3.0);
+  // Peers drawn up front, so the loop times the hand-off and not the Rng.
+  std::vector<NodeId> peers(kNodes);
+  for (NodeId& p : peers) p = static_cast<NodeId>(rng.uniform_int(kNodes));
+  std::vector<std::uint64_t> seqs(kNodes, 0);
+  double epoch = 0.0;
+  while (state.KeepRunningBatch(3 * kNodes)) {
+    for (int s = 0; s < kShards; ++s) {
+      for (int i = 0; i < kNodesPerShard; ++i) {
+        const NodeId node = s * kNodesPerShard + i;
+        const NodeId peer = peers[static_cast<std::size_t>(node)];
+        const int r = peer / kNodesPerShard;
+        std::uint64_t& seq = seqs[static_cast<std::size_t>(node)];
+        const double t = epoch + static_cast<double>(i) * 1e-3;
+
+        sim::ShardEvent& ping = mailbox.append(s, r);
+        ping.t = ping.t_orig = t;
+        ping.kind = sim::ShardEventKind::kPing;
+        ping.a = peer;
+        ping.b = node;
+        ping.seq = seq++;
+        ping.rtt_ms = 40.0f;
+
+        sim::ShardEvent& pong = mailbox.append(s, r);
+        pong.t = pong.t_orig = t - 1.0;
+        pong.kind = sim::ShardEventKind::kPong;
+        pong.a = peer;
+        pong.b = node;
+        pong.seq = seq++;
+        pong.rtt_ms = 40.0f;
+        pong.sys_coord = coord;
+        pong.app_coord = coord;
+        pong.coord_err = 0.3;
+
+        mailbox.send_dst_error(s, r, sim::DstErrorRecord{t, node, peer, seq++, 0.1});
+      }
+    }
+    epoch += kInterval;
+    for (int r = 0; r < kShards; ++r) {
+      auto& queue = queues[static_cast<std::size_t>(r)];
+      auto& errors = dst_errors[static_cast<std::size_t>(r)];
+      mailbox.collect_dst_errors_into(r, errors);
+      benchmark::DoNotOptimize(errors.data());
+      mailbox.collect_events_into(r, epoch, staging[static_cast<std::size_t>(r)]);
+      queue.push_batch(staging[static_cast<std::size_t>(r)]);
+      while (!queue.empty()) {
+        const sim::ShardEvent ev = queue.pop();
+        benchmark::DoNotOptimize(ev);
+      }
+    }
+  }
+}
+BENCHMARK(BM_EpochMailboxDelivery);
+
 }  // namespace
 
 BENCHMARK_MAIN();

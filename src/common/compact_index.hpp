@@ -48,6 +48,12 @@ class CompactSlotIndex {
     }
   }
 
+  /// Starts loading the bucket a lookup of `key` probes first (a hint).
+  void prefetch(std::uint32_t key) const noexcept {
+    if (!entries_.empty())
+      __builtin_prefetch(&entries_[bucket_of(key, entries_.size() - 1)]);
+  }
+
   /// Inserts `key -> value`, or overwrites the value of an existing key.
   void insert(std::uint32_t key, std::uint32_t value) {
     NC_ASSERT(key != kEmptyKey);

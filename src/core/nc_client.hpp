@@ -125,6 +125,10 @@ class NCClient {
   [[nodiscard]] std::uint64_t absorbed_sample_count() const noexcept { return absorbed_; }
   [[nodiscard]] std::size_t tracked_link_count() const noexcept { return active_links_; }
   [[nodiscard]] std::uint64_t evicted_link_count() const noexcept { return evictions_; }
+  /// Starts loading the index bucket observe(remote, ...) probes first.
+  void prefetch_link(NodeId remote) const noexcept {
+    slot_of_.prefetch(static_cast<std::uint32_t>(remote));
+  }
   /// Address of `remote`'s slab row, or nullptr when it holds none. Rows
   /// never move, and an evicted row is re-initialized in place by a later
   /// first contact.

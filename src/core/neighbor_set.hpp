@@ -32,11 +32,16 @@ class NeighborSet {
   NeighborSet(std::size_t capacity, std::uint64_t seed);
 
   /// Adds a neighbor; returns true if the set changed. Adding a node already
-  /// present (or self, passed as `self`) is a no-op.
+  /// present is a no-op. The set does not know its owner's id: callers keep
+  /// the owning node out themselves.
   bool add(NodeId id);
 
   [[nodiscard]] bool contains(NodeId id) const noexcept {
     return index_.find(static_cast<std::uint32_t>(id)).has_value();
+  }
+  /// Starts loading the index bucket add(id) / contains(id) probes first.
+  void prefetch(NodeId id) const noexcept {
+    index_.prefetch(static_cast<std::uint32_t>(id));
   }
   [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
   [[nodiscard]] bool empty() const noexcept { return order_.empty(); }

@@ -2,7 +2,7 @@
 // own timers (R. Brown, CACM 1988).
 //
 // Its one client, the per-shard ShardEventQueue (shard_mailbox.hpp), keeps
-// delivered messages in a separate sorted lane and pushes only locally
+// delivered events in a separate sorted lane and pushes only locally
 // scheduled events here: one ping timer per node per interval plus the
 // drift-tracking ticks, all strictly periodic. That access pattern is the
 // textbook case where a calendar beats a binary heap: an insert lands in the

@@ -1,35 +1,25 @@
-// Epoch-boundary message exchange for the sharded online simulator.
+// Epoch-boundary event exchange for the sharded simulator.
 //
-// Shards interact only through messages handed over at epoch boundaries.
-// During an epoch each shard appends to one outbox per destination shard;
-// at the next boundary the RECEIVING shard drains its column into one batch
-// ordered by a canonical key that is intrinsic to the message — (time, kind,
-// sender, receiver, per-sender sequence number) — so the delivery order
-// every entity observes is a pure function of the traffic, never of the
-// shard count or thread timing. That canonical order is the heart of the
-// engine's determinism argument (see DESIGN.md "Event core").
-//
-// The batch is built by a k-way MERGE, not a sort: each outbox cell keeps
-// one run per message kind, and two of the three kinds (kPing, kDstError)
-// are emitted in canonical order by construction — their timestamp is the
-// sender's processing time, which the sender's event queue already hands
-// out in canonical order. Only kPong runs carry a stochastic timestamp
-// (ping send time + sampled RTT), so only those small per-cell runs are
-// sorted, by the SENDER, when it seals its outboxes at the end of its
-// processing phase. The merge writes into a per-receiver buffer that is
-// reused across epochs, so a steady-state epoch allocates nothing.
-//
-// The receiver turns its batch into ShardEvents and hands them to its
-// ShardEventQueue in one push_batch. There they wait in a sorted lane of
-// their own, beside the calendar that holds the shard's timers, so the
-// bytes a queue retains follow its pending events rather than every epoch
-// batch it has ever absorbed.
+// Shards interact only through events handed over at epoch boundaries.
+// During an epoch a shard appends each ShardEvent its receiver will process
+// (a ping, a pong carrying coordinates, a routed trace record) to one
+// UNSORTED run per (sender, receiver) cell. At the next boundary the
+// receiver copies its column into a staging buffer, clamping delivered
+// times up to the epoch start, and hands it to its ShardEventQueue in one
+// push_batch, whose key (time, kind, owner, sender, per-sender seq) is
+// total over a batch: the processing order is a pure function of the
+// traffic, never of arrival order, shard count or thread timing (DESIGN.md
+// "Event core"). Dst-error records bypass the queue and feed an
+// order-sensitive streaming median, so they travel in a second run per
+// cell, canonically ordered by construction, and the receiver k-way merges
+// them. Once warm, an epoch allocates nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -39,41 +29,54 @@
 
 namespace nc::sim {
 
-enum class ShardMsgKind : std::uint8_t {
-  kPing = 0,     // ping i -> j: membership introduction + gossip + echo data
-  kPong = 1,     // reply j -> i: remote coordinate state as of reply time
-  kDstError = 2,  // metrics routing: observation error keyed by destination
-  kObs = 3        // replay: trace record routed to the OBSERVED node's owner,
-                  // which answers with a kPong stamping its current state
+/// One shard's event loop entries: local ping timers, delivered events and
+/// drift-tracking ticks, ordered by the canonical key (processing time,
+/// kind, owner, sender, sequence). Delivered events keep their original
+/// event time in `t_orig`; the processing time is clamped up to the epoch
+/// that delivers them so per-entity time never runs backwards.
+enum class ShardEventKind : std::uint8_t {
+  kTrack = 0,      // record tracked nodes' coordinates (exact multiples of
+                   // the track interval, before same-time observations)
+  kPingTimer = 1,  // local: node samples its next round-robin neighbor
+  kPing = 2,       // delivered: answer a ping (membership, gossip, pong)
+  kPong = 3,       // delivered: observe the remote's echoed state
+  kObs = 4         // delivered (replay): stamp this node's current state
+                   // into a pong answering a trace record
 };
 
-struct ShardMessage {
-  ShardMsgKind kind = ShardMsgKind::kPing;
-  double t = 0.0;  // event time: ping send / pong arrival / observation time
-  NodeId from = kInvalidNode;  // sending entity
-  NodeId to = kInvalidNode;    // entity owned by the receiving shard
-  std::uint64_t seq = 0;       // per-sender-node message counter (tiebreak)
+struct ShardEvent {
+  double t = 0.0;  // processing time (canonical queue key)
+  ShardEventKind kind = ShardEventKind::kPingTimer;
+  NodeId a = kInvalidNode;  // owning node (timer owner / event receiver)
+  NodeId b = kInvalidNode;  // event sender
+  std::uint64_t seq = 0;    // per-sender counter (tiebreak)
 
-  float rtt_ms = 0.0f;           // kPing: sampled RTT; kPong: echoed
+  double t_orig = 0.0;  // event time before clamping
+  float rtt_ms = 0.0f;  // kPing: sampled RTT; kPong/kObs: echoed
   NodeId gossip = kInvalidNode;  // one advertised neighbor address
-  double gt_rtt_ms = 0.0;        // quiescent ground truth at ping time (oracle)
-  double err = 0.0;              // kDstError: app-level relative error
+  double gt_rtt_ms = 0.0;        // quiescent ground truth (oracle)
   Coordinate sys_coord;          // kPong: remote system coordinate
   Coordinate app_coord;          // kPong: remote application coordinate
   double coord_err = 0.0;        // kPong: remote error estimate
 };
 
-/// Canonical message order. Every field compared is decided by the sending
-/// entity alone, so any shard layout orders a delivery batch identically.
-/// The key is total on distinct messages: a sender's (from, seq) pair never
-/// repeats.
-[[nodiscard]] inline bool shard_msg_less(const ShardMessage& a,
-                                         const ShardMessage& b) noexcept {
-  if (a.t != b.t) return a.t < b.t;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.from != b.from) return a.from < b.from;
-  if (a.to != b.to) return a.to < b.to;
-  return a.seq < b.seq;
+/// Metrics routing: an observation's app-level relative error, keyed by its
+/// destination and delivered to the destination's owner.
+struct DstErrorRecord {
+  double t = 0.0;              // observation (processing) time
+  NodeId from = kInvalidNode;  // observer
+  NodeId to = kInvalidNode;    // observed node, owned by the receiving shard
+  std::uint64_t seq = 0;       // per-observer counter (tiebreak)
+  double err = 0.0;
+};
+static_assert(sizeof(DstErrorRecord) == 32, "one record per half cache line");
+
+/// Canonical dst-error order. Every field compared is decided by the
+/// observer alone, so any shard layout merges a column identically; the key
+/// is total because an observer's (from, seq) pair never repeats.
+[[nodiscard]] inline bool dst_error_less(const DstErrorRecord& x,
+                                         const DstErrorRecord& y) noexcept {
+  return std::tie(x.t, x.from, x.to, x.seq) < std::tie(y.t, y.from, y.to, y.seq);
 }
 
 /// The W x W grid of outboxes. Cell (sender, receiver) is written only by
@@ -82,86 +85,88 @@ struct ShardMessage {
 /// ever touched from two threads concurrently.
 class EpochMailbox {
  public:
-  static constexpr int kKinds = 4;
-
-  /// One per-kind run per cell. kPing/kDstError runs are canonically sorted
-  /// by construction (asserted on append); kPong and kObs runs become sorted
-  /// when the sender seals its outboxes (pong arrival times are stochastic;
-  /// the trace reader emits kObs in trace order, whose equal-time records
-  /// need not follow the canonical (from, to) tiebreak).
   struct Cell {
-    std::vector<ShardMessage> runs[kKinds];
+    std::vector<ShardEvent> events;          // unsorted
+    std::vector<DstErrorRecord> dst_errors;  // canonical order by construction
   };
 
-  /// `per_cell_hint` presizes every run for the expected per-epoch traffic
-  /// (roughly: nodes-per-shard ping once per epoch, spread over W receiving
-  /// shards), so steady-state sends never reallocate.
-  explicit EpochMailbox(int shards, std::size_t per_cell_hint = 0)
+  /// `event_hint` and `dst_error_hint` presize each cell's two runs for the
+  /// expected per-epoch traffic of one (sender, receiver) pair, so
+  /// steady-state sends never reallocate.
+  explicit EpochMailbox(int shards, std::size_t event_hint = 0,
+                        std::size_t dst_error_hint = 0)
       : shards_(shards) {
     NC_CHECK_MSG(shards >= 1, "need at least one shard");
     const auto w = static_cast<std::size_t>(shards);
     cells_.resize(w * w);
-    if (per_cell_hint > 0) {
-      for (Cell& cell : cells_)
-        for (auto& run : cell.runs) run.reserve(per_cell_hint);
+    for (Cell& cell : cells_) {
+      cell.events.reserve(event_hint);
+      cell.dst_errors.reserve(dst_error_hint);
     }
     merge_runs_.resize(w);
-    for (auto& runs : merge_runs_) runs.reserve(w * kKinds);
+    for (auto& runs : merge_runs_) runs.reserve(w);
   }
 
-  /// Appends one message to the (sender, receiver) outbox. Called only by
-  /// `sender`'s thread during its processing phase.
-  void send(int sender, int receiver, ShardMessage msg) {
-    auto& run = cell_at(sender, receiver).runs[static_cast<int>(msg.kind)];
-    // Processing-time-stamped kinds must arrive presorted — that is the
-    // invariant that lets collect_into merge instead of sort.
-    NC_ASSERT(msg.kind == ShardMsgKind::kPong || msg.kind == ShardMsgKind::kObs ||
-              run.empty() || shard_msg_less(run.back(), msg));
-    run.push_back(std::move(msg));
+  /// Appends a default event to the (sender, receiver) run and returns it
+  /// for the sender to fill in place; the reference is valid until the
+  /// sender's next append to that cell. Called only by `sender`'s thread
+  /// during its processing phase.
+  [[nodiscard]] ShardEvent& append(int sender, int receiver) {
+    return cell_at(sender, receiver).events.emplace_back();
   }
 
-  /// Sorts `sender`'s kPong and kObs runs (the two kinds whose emission
-  /// order is not the canonical order — see Cell). Called by the sender at
-  /// the end of each processing phase, so every run is canonically ordered
-  /// before any receiver merges it.
-  void seal_outboxes(int sender) {
-    for (int r = 0; r < shards_; ++r) {
-      for (const ShardMsgKind kind : {ShardMsgKind::kPong, ShardMsgKind::kObs}) {
-        auto& run = cell_at(sender, r).runs[static_cast<int>(kind)];
-        std::sort(run.begin(), run.end(), &shard_msg_less);
+  /// Appends one dst-error record. Records are stamped with the sender's
+  /// processing time, which its queue hands out in canonical order — the
+  /// invariant that lets collect_dst_errors_into merge instead of sort.
+  void send_dst_error(int sender, int receiver, const DstErrorRecord& rec) {
+    auto& run = cell_at(sender, receiver).dst_errors;
+    NC_ASSERT(run.empty() || dst_error_less(run.back(), rec));
+    run.push_back(rec);
+  }
+
+  /// Appends every event sent to `receiver` to `out`, sender by sender,
+  /// with its processing time clamped up to `epoch_start`, and resets the
+  /// runs. `out` may already hold events (a migrated node's pending ones):
+  /// those keep their time. The order of `out` is immaterial — push_batch
+  /// orders by a key that is total over the batch.
+  void collect_events_into(int receiver, double epoch_start,
+                           std::vector<ShardEvent>& out) {
+    for (int s = 0; s < shards_; ++s) {
+      auto& run = cell_at(s, receiver).events;
+      for (const ShardEvent& ev : run) {
+        out.push_back(ev);
+        out.back().t = std::max(ev.t, epoch_start);
       }
+      run.clear();
     }
   }
 
-  /// Merges every sealed run destined to `receiver` into `out` (cleared
-  /// first) in canonical order, and resets the runs. `out` and the per-
-  /// receiver cursor scratch are reused across epochs: once warm, no
-  /// allocation. Equivalent to the gather-then-sort this replaced because
-  /// the canonical key is total and every run is sorted.
-  void collect_into(int receiver, std::vector<ShardMessage>& out) {
+  /// Merges every dst-error run destined to `receiver` into `out` (cleared
+  /// first) in canonical order and resets the runs. The per-receiver cursor
+  /// scratch is reused across epochs: once warm, no allocation.
+  void collect_dst_errors_into(int receiver, std::vector<DstErrorRecord>& out) {
     auto& runs = merge_runs_[static_cast<std::size_t>(receiver)];
     runs.clear();
     std::size_t total = 0;
     for (int s = 0; s < shards_; ++s) {
-      for (auto& run : cell_at(s, receiver).runs) {
-        if (run.empty()) continue;
-        NC_ASSERT(std::is_sorted(run.begin(), run.end(), &shard_msg_less));
-        runs.push_back(Run{run.data(), run.data() + run.size()});
-        total += run.size();
-      }
+      auto& run = cell_at(s, receiver).dst_errors;
+      if (run.empty()) continue;
+      NC_ASSERT(std::is_sorted(run.begin(), run.end(), &dst_error_less));
+      runs.push_back(Run{run.data(), run.data() + run.size()});
+      total += run.size();
     }
     out.clear();
     out.reserve(total);
 
-    // Min-heap of run cursors keyed by head message: O(log 3W) per message.
-    const auto run_after = [](const Run& a, const Run& b) noexcept {
-      return shard_msg_less(*b.next, *a.next);
+    // Min-heap of run cursors keyed by head record: O(log W) per record.
+    const auto run_after = [](const Run& x, const Run& y) noexcept {
+      return dst_error_less(*y.next, *x.next);
     };
     std::make_heap(runs.begin(), runs.end(), run_after);
     while (!runs.empty()) {
       std::pop_heap(runs.begin(), runs.end(), run_after);
       Run& top = runs.back();
-      out.push_back(std::move(*top.next));
+      out.push_back(*top.next);
       ++top.next;
       if (top.next == top.end) {
         runs.pop_back();
@@ -170,26 +175,21 @@ class EpochMailbox {
       }
     }
 
-    for (int s = 0; s < shards_; ++s)
-      for (auto& run : cell_at(s, receiver).runs) run.clear();
+    for (int s = 0; s < shards_; ++s) cell_at(s, receiver).dst_errors.clear();
   }
 
   /// Outbox introspection (tests assert capacity reuse across epochs).
   [[nodiscard]] const Cell& cell(int sender, int receiver) const {
-    return cells_[static_cast<std::size_t>(sender) *
-                      static_cast<std::size_t>(shards_) +
-                  static_cast<std::size_t>(receiver)];
+    return cells_[index(sender, receiver)];
   }
-
-  [[nodiscard]] int shards() const noexcept { return shards_; }
 
   /// Heap bytes held by the outbox grid and merge scratch (capacity, not
   /// size: steady-state runs keep their high-water capacity by design).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     std::size_t bytes = cells_.capacity() * sizeof(Cell);
     for (const Cell& cell : cells_)
-      for (const auto& run : cell.runs)
-        bytes += run.capacity() * sizeof(ShardMessage);
+      bytes += cell.events.capacity() * sizeof(ShardEvent) +
+               cell.dst_errors.capacity() * sizeof(DstErrorRecord);
     bytes += merge_runs_.capacity() * sizeof(std::vector<Run>);
     for (const auto& runs : merge_runs_) bytes += runs.capacity() * sizeof(Run);
     return bytes;
@@ -197,14 +197,16 @@ class EpochMailbox {
 
  private:
   struct Run {
-    ShardMessage* next;
-    ShardMessage* end;
+    const DstErrorRecord* next;
+    const DstErrorRecord* end;
   };
 
+  [[nodiscard]] std::size_t index(int sender, int receiver) const noexcept {
+    return static_cast<std::size_t>(sender) * static_cast<std::size_t>(shards_) +
+           static_cast<std::size_t>(receiver);
+  }
   [[nodiscard]] Cell& cell_at(int sender, int receiver) {
-    return cells_[static_cast<std::size_t>(sender) *
-                      static_cast<std::size_t>(shards_) +
-                  static_cast<std::size_t>(receiver)];
+    return cells_[index(sender, receiver)];
   }
 
   int shards_;
@@ -249,89 +251,68 @@ class MigrationChannel {
     }
   }
 
-  [[nodiscard]] int shards() const noexcept { return shards_; }
-
  private:
   int shards_;
   std::vector<std::vector<T>> cells_;
 };
 
-/// One shard's event loop entries: local ping timers, delivered messages and
-/// drift-tracking ticks, ordered by the canonical key (processing time,
-/// kind, owner, sender, sequence). Delivered messages keep their original
-/// event time in `t_orig`; the processing time is clamped up to the epoch
-/// that delivers them so per-entity time never runs backwards.
-enum class ShardEventKind : std::uint8_t {
-  kTrack = 0,      // record tracked nodes' coordinates (exact multiples of
-                   // the track interval, before same-time observations)
-  kPingTimer = 1,  // local: node samples its next round-robin neighbor
-  kPing = 2,       // delivered: answer a ping (membership, gossip, pong)
-  kPong = 3,       // delivered: observe the remote's echoed state
-  kObs = 4         // delivered (replay): stamp this node's current state
-                   // into a pong answering a trace record
-};
-
-struct ShardEvent {
-  double t = 0.0;  // processing time (canonical queue key)
-  ShardEventKind kind = ShardEventKind::kPingTimer;
-  NodeId a = kInvalidNode;  // owning node (timer owner / message receiver)
-  NodeId b = kInvalidNode;  // message sender
-  std::uint64_t seq = 0;
-
-  double t_orig = 0.0;  // message event time before clamping
-  float rtt_ms = 0.0f;
-  NodeId gossip = kInvalidNode;
-  double gt_rtt_ms = 0.0;
-  Coordinate sys_coord;
-  Coordinate app_coord;
-  double coord_err = 0.0;
-};
-
 /// The per-shard event queue: two sorted stores under one canonical key, so
 /// the pop order (and with it every metric) is that of a single priority
 /// queue over both.
-///  * The LANE holds delivered events. Each epoch's batch arrives in one
-///    push_batch, is sorted once and becomes the lane; pops consume it as a
-///    prefix. A lane drained by the epoch's processing simply trades buffers
-///    with the caller's staging vector; one with an unconsumed tail (a pong
-///    due past the epoch end, a migrated node's far-future event) is merged
-///    with the new batch into a spare buffer that then trades places with
-///    it.
+///  * The LANE holds delivered events. push_batch sorts one 32-byte key per
+///    event, then moves each event into the lane once, in key order, merged
+///    with any unconsumed tail (a pong due past the epoch end, a migrated
+///    node's far-future event). Pops consume the lane as a prefix.
 ///  * The CALENDAR (calendar_queue.hpp) holds what push() schedules: ping
 ///    timers and track ticks.
 /// pop() takes the smaller head by Ops::less, a total order. Retained bytes
-/// therefore follow the pending high-water mark — the lane, its spare and
-/// the caller's staging vector each hold at most one epoch's deliveries plus
-/// a tail, and the calendar's pool at most the pending timers — and a
-/// steady-state epoch allocates nothing once those buffers are warm.
+/// follow the pending high-water mark — lane, spare, keys and the caller's
+/// staging vector each hold at most one epoch's deliveries plus a tail, the
+/// calendar's pool at most the pending timers — and a warm epoch allocates
+/// nothing.
 class ShardEventQueue {
  public:
   void push(ShardEvent ev) { calendar_.push(std::move(ev)); }
 
-  /// Bulk insert of one epoch's delivered events: sorts `batch` by the
-  /// canonical key (clamping to the epoch start permutes delivery order, so
-  /// the merge order does not survive translation into processing keys) and
-  /// makes it the lane, merged with any unconsumed lane tail. `batch` is
-  /// caller-owned scratch, reused across epochs; it comes back empty, holding
-  /// a buffer the lane no longer needs.
+  /// Bulk insert of one epoch's delivered events, in any order: the key
+  /// (t, kind, a, b, seq) is total over a batch, so the lane it builds does
+  /// not depend on the order of `batch`. `batch` is caller-owned scratch,
+  /// reused across epochs; it comes back empty with its capacity.
   void push_batch(std::vector<ShardEvent>& batch) {
-    std::sort(batch.begin(), batch.end(), &Ops::less);
-    if (lane_head_ == lane_.size()) {
+    const auto id = [](NodeId n) {
+      return static_cast<std::uint32_t>(n) ^ 0x80000000u;
+    };
+    keys_.clear();
+    keys_.reserve(batch.size());
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      const ShardEvent& ev = batch[i];
+      const std::uint64_t kind = static_cast<std::uint8_t>(ev.kind);
+      keys_.push_back({ev.t, kind << 32 | id(ev.a), ev.seq, id(ev.b), i});
+    }
+    std::sort(keys_.begin(), keys_.end());
+
+    const auto tail = lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_);
+    if (tail == lane_.end()) {
       lane_.clear();
-      lane_.swap(batch);
+      for (const Key& key : keys_) lane_.push_back(std::move(batch[key.index]));
     } else {
+      // Merge the sorted tail with the batch in key order into the spare,
+      // which then trades places with the lane.
       spare_.clear();
-      spare_.reserve(lane_.size() - lane_head_ + batch.size());
-      std::merge(std::make_move_iterator(lane_.begin() +
-                                         static_cast<std::ptrdiff_t>(lane_head_)),
-                 std::make_move_iterator(lane_.end()),
-                 std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()),
-                 std::back_inserter(spare_), &Ops::less);
+      spare_.reserve(static_cast<std::size_t>(lane_.end() - tail) + batch.size());
+      auto rest = tail;
+      for (const Key& key : keys_) {
+        ShardEvent& ev = batch[key.index];
+        while (rest != lane_.end() && Ops::less(*rest, ev))
+          spare_.push_back(std::move(*rest++));
+        spare_.push_back(std::move(ev));
+      }
+      spare_.insert(spare_.end(), std::make_move_iterator(rest),
+                    std::make_move_iterator(lane_.end()));
       lane_.swap(spare_);
       spare_.clear();
-      batch.clear();
     }
+    batch.clear();
     lane_head_ = 0;
   }
 
@@ -346,6 +327,13 @@ class ShardEventQueue {
     if (lane_head_ < lane_.size() && head == &lane_[lane_head_])
       return std::move(lane_[lane_head_++]);
     return calendar_.pop();
+  }
+
+  /// The delivered event `distance` places past the lane head, or nullptr:
+  /// a prefetch hint (calendar pops interleave, so not the distance-th pop).
+  [[nodiscard]] const ShardEvent* lane_ahead(std::size_t distance) const noexcept {
+    const std::size_t i = lane_head_ + distance;
+    return i < lane_.size() ? &lane_[i] : nullptr;
   }
 
   /// Removes every pending event owned by `node` (ev.a == node), from lane
@@ -371,11 +359,12 @@ class ShardEventQueue {
     return lane_.size() - lane_head_ + calendar_.size();
   }
 
-  /// Heap bytes retained: the calendar's, plus the lane and its spare
-  /// (capacity, not size).
+  /// Heap bytes retained: the calendar's, plus the lane, its spare and the
+  /// key scratch (capacity, not size).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return calendar_.memory_bytes() +
-           (lane_.capacity() + spare_.capacity()) * sizeof(ShardEvent);
+           (lane_.capacity() + spare_.capacity()) * sizeof(ShardEvent) +
+           keys_.capacity() * sizeof(Key);
   }
 
  private:
@@ -390,6 +379,20 @@ class ShardEventQueue {
       return x.seq < y.seq;
     }
   };
+
+  /// Ops::less as a 32-byte sort key plus the event's batch index. Node
+  /// ids have their sign bit flipped, so unsigned order is NodeId order.
+  struct Key {
+    double t;
+    std::uint64_t kind_a;  // kind << 32 | a
+    std::uint64_t seq;
+    std::uint32_t b;
+    std::uint32_t index;
+    [[nodiscard]] bool operator<(const Key& o) const noexcept {
+      return std::tie(t, kind_a, b, seq) < std::tie(o.t, o.kind_a, o.b, o.seq);
+    }
+  };
+  static_assert(sizeof(Key) == 32, "one sort key per half cache line");
 
   /// Earliest pending event by Ops::less, or nullptr when empty.
   [[nodiscard]] const ShardEvent* peek() {
@@ -406,6 +409,8 @@ class ShardEventQueue {
   /// Merge target when a lane tail meets a new batch; trades places with
   /// lane_.
   std::vector<ShardEvent> spare_;
+  /// push_batch's sort keys, reused across batches.
+  std::vector<Key> keys_;
 };
 
 }  // namespace nc::sim

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <ctime>
 #include <exception>
+#include <string>
 #include <thread>
 
 #include "common/check.hpp"
@@ -54,6 +55,10 @@ std::uint64_t undirected_key(NodeId i, NodeId j) noexcept {
   return directed_key(std::min(i, j), std::max(i, j));
 }
 
+/// How many lane events ahead process_epoch prefetches handler state for:
+/// the best of {3, 6, 12, 24} on online-churn (DESIGN.md Sec. 8).
+constexpr std::size_t kLanePrefetchDistance = 12;
+
 ShardEvent make_event(double t, ShardEventKind kind, NodeId a = kInvalidNode) {
   ShardEvent ev;
   ev.t = t;
@@ -62,16 +67,16 @@ ShardEvent make_event(double t, ShardEventKind kind, NodeId a = kInvalidNode) {
   return ev;
 }
 
-/// Expected per-epoch occupancy of one outbox run. Online: each of the
-/// sender shard's ~n/W nodes emits about one message per kind per epoch,
-/// spread over W receiving shards. Replay: the reader (shard 0) routes ~n
-/// records per epoch over W shards, so its cells see ~n/W — size every run
-/// for the larger of the two patterns of its mode.
-std::size_t mailbox_cell_hint(int num_nodes, int shards, bool replay) noexcept {
-  if (shards < 1) return 0;  // EpochMailbox rejects the shard count itself
+/// The mailbox, each cell's runs presized for one epoch of what the mode
+/// sends. Online: a shard's ~n/W nodes each send about a ping, a pong and a
+/// dst-error record, spread over W receivers. Replay: a reading shard
+/// routes ~n/W trace records per epoch; dst-error records spread as online.
+EpochMailbox make_mailbox(int num_nodes, int shards, bool replay) {
+  if (shards < 1) return EpochMailbox(shards);  // rejects the shard count
   const auto n = static_cast<std::size_t>(num_nodes);
   const auto w = static_cast<std::size_t>(shards);
-  return (replay ? n / w : n / (w * w)) + 8;
+  return EpochMailbox(shards, (replay ? n / w : 2 * n / (w * w)) + 8,
+                      n / (w * w) + 8);
 }
 
 OnlineSimConfig replay_as_engine_config(const ReplayConfig& config) {
@@ -107,7 +112,7 @@ ShardedEngine::ShardedEngine(const OnlineSimConfig& config, int shards,
       topology_(std::move(topology)),
       link_config_(link_config),
       availability_(availability),
-      mailbox_(shards, mailbox_cell_hint(topology_.size(), shards, false)) {
+      mailbox_(make_mailbox(topology_.size(), shards, false)) {
   const int n = topology_.size();
   NC_CHECK_MSG(shards >= 1, "need at least one shard");
   // Same validation the retired classic path got from schedule_route_change:
@@ -172,8 +177,7 @@ ShardedEngine::ShardedEngine(const OnlineSimConfig& config, int shards,
 ShardedEngine::ShardedEngine(const ReplayConfig& config, int num_nodes)
     : mode_(Mode::kReplay),
       config_(replay_as_engine_config(config)),
-      mailbox_(config.shards,
-               mailbox_cell_hint(num_nodes, config.shards, true)) {
+      mailbox_(make_mailbox(num_nodes, config.shards, true)) {
   NC_CHECK_MSG(config.shards >= 1, "need at least one shard");
   NC_CHECK_MSG(num_nodes >= 1, "need at least one node");
   NC_CHECK_MSG(config.epoch_s > 0.0, "epoch length must be positive");
@@ -329,46 +333,31 @@ ShardedEngine::DirLink& ShardedEngine::link_at(Shard& shard, NodeId src,
 
 void ShardedEngine::deliver_batch(Shard& shard, int shard_idx,
                                   double epoch_start) {
-  mailbox_.collect_into(shard_idx, shard.inbox);
-  for (const ShardMessage& msg : shard.inbox) {
-    if (msg.kind == ShardMsgKind::kDstError) {
-      // Commutes with everything in the epoch: only the per-destination
-      // order matters, and the canonical batch merge fixed it.
-      shard.collector->record_dst_error(msg.t, msg.to, msg.err);
-      continue;
-    }
-    // Processing time is clamped up to this epoch's start so per-entity
-    // time never runs backwards; events delivered at the same clamped time
-    // are ordered by the queue key's (kind, sender, seq) tiebreaks.
-    ShardEvent ev;
-    ev.t = std::max(msg.t, epoch_start);
-    switch (msg.kind) {
-      case ShardMsgKind::kPing: ev.kind = ShardEventKind::kPing; break;
-      case ShardMsgKind::kPong: ev.kind = ShardEventKind::kPong; break;
-      default: ev.kind = ShardEventKind::kObs; break;
-    }
-    ev.a = msg.to;
-    ev.b = msg.from;
-    ev.seq = msg.seq;
-    ev.t_orig = msg.t;
-    ev.rtt_ms = msg.rtt_ms;
-    ev.gossip = msg.gossip;
-    ev.gt_rtt_ms = msg.gt_rtt_ms;
-    ev.sys_coord = msg.sys_coord;
-    ev.app_coord = msg.app_coord;
-    ev.coord_err = msg.coord_err;
-    shard.staging.push_back(std::move(ev));
-  }
-  // One bulk hand-off: push_batch sorts the staged events by the canonical
-  // processing key once and makes them the queue's delivered lane.
-  // Thousands of deliveries share the exact clamped epoch-start time, so
-  // per-event insertion would pay a sorted-insert memmove each.
+  // Dst-error records commute with everything in the epoch: only the
+  // per-destination order matters, and the canonical merge fixes it.
+  mailbox_.collect_dst_errors_into(shard_idx, shard.dst_errors);
+  for (const DstErrorRecord& rec : shard.dst_errors)
+    shard.collector->record_dst_error(rec.t, rec.to, rec.err);
+  // Clamped to the epoch start so per-entity time never runs backwards;
+  // one bulk hand-off, as thousands of deliveries share that exact time.
+  mailbox_.collect_events_into(shard_idx, epoch_start, shard.staging);
   shard.queue.push_batch(shard.staging);
 }
 
 void ShardedEngine::process_epoch(Shard& shard, int shard_idx,
                                   double epoch_end) {
   while (shard.queue.has_event_before(epoch_end)) {
+    // The handlers' first touch of node state is an index-bucket miss:
+    // issue it a few events early so it overlaps the work in between.
+    if (const ShardEvent* ahead = shard.queue.lane_ahead(kLanePrefetchDistance)) {
+      const auto owner = static_cast<std::size_t>(ahead->a);
+      if (ahead->kind == ShardEventKind::kPing) {
+        neighbors_[owner].prefetch(ahead->b);
+        if (ahead->gossip != kInvalidNode) neighbors_[owner].prefetch(ahead->gossip);
+      } else if (ahead->kind == ShardEventKind::kPong) {
+        clients_[owner]->prefetch_link(ahead->b);
+      }
+    }
     const ShardEvent ev = shard.queue.pop();
     if (ev.t >= config_.duration_s) continue;  // final partial epoch
     // Track ticks are bookkeeping, not simulation events: every shard that
@@ -390,13 +379,16 @@ void ShardedEngine::process_epoch(Shard& shard, int shard_idx,
         on_ping_timer(shard, ev.t, ev.a);
         break;
       case ShardEventKind::kPing:
-        on_delivered_ping(shard, ev.t, ev);
+        on_delivered_ping(shard, ev);
         break;
       case ShardEventKind::kPong:
         on_delivered_pong(shard, ev.t, ev);
         break;
       case ShardEventKind::kObs:
-        on_delivered_obs(shard, ev);
+        // A trace record reached the OBSERVED node's owner: answer it
+        // exactly like a ping, at the record's own timestamp. The recorded
+        // source node observes the pong one hand-off later.
+        (void)answer_with_pong(shard, ev, ev.t_orig);
         break;
     }
   }
@@ -409,10 +401,6 @@ void ShardedEngine::process_epoch(Shard& shard, int shard_idx,
       static_cast<std::size_t>(shard_idx) < readers_.size() &&
       readers_[static_cast<std::size_t>(shard_idx)].source != nullptr)
     read_trace_until(shard_idx, epoch_end + config_.ping_interval_s);
-  // All of this epoch's emissions are in; sort the kPong/kObs runs (the
-  // kinds whose timestamps are not monotone in emission order) so every
-  // outbox is canonically ordered before the receivers merge at the barrier.
-  mailbox_.seal_outboxes(shard_idx);
 }
 
 void ShardedEngine::on_ping_timer(Shard& shard, double t, NodeId node) {
@@ -450,73 +438,56 @@ void ShardedEngine::on_ping_timer(Shard& shard, double t, NodeId node) {
   const double rtt = lat::sample_noisy_rtt(link.rng, base, overload,
                                            t < link.dyn.burst_end_t, link_config_);
 
-  ShardMessage msg;
-  msg.kind = ShardMsgKind::kPing;
-  msg.t = t;
-  msg.from = node;
-  msg.to = *target;
-  msg.seq = msg_seq_[static_cast<std::size_t>(node)]++;
-  msg.rtt_ms = static_cast<float>(rtt);
-  if (config_.collect_oracle) msg.gt_rtt_ms = base;
-  // The ping gossips one of the sender's neighbors (never the target
-  // itself) and introduces the sender.
-  if (const auto g = nbrs.random_neighbor(); g.has_value() && *g != *target)
-    msg.gossip = *g;
   // Route with the shard's OWN ownership view: at a rebalance epoch it was
   // advanced to the post-barrier owners before any send, which is exactly
   // who collects this outbox at the next hand-off.
-  mailbox_.send(shard_idx_of(shard), shard.ownership.owner(*target),
-                std::move(msg));
+  ShardEvent& ping =
+      mailbox_.append(shard_idx_of(shard), shard.ownership.owner(*target));
+  ping.t = ping.t_orig = t;
+  ping.kind = ShardEventKind::kPing;
+  ping.a = *target;
+  ping.b = node;
+  ping.seq = msg_seq_[static_cast<std::size_t>(node)]++;
+  ping.rtt_ms = static_cast<float>(rtt);
+  if (config_.collect_oracle) ping.gt_rtt_ms = base;
+  // The ping gossips one of the sender's neighbors (never the target
+  // itself) and introduces the sender.
+  if (const auto g = nbrs.random_neighbor(); g.has_value() && *g != *target)
+    ping.gossip = *g;
 }
 
-void ShardedEngine::on_delivered_ping(Shard& shard, double t_proc,
-                                      const ShardEvent& ev) {
+void ShardedEngine::on_delivered_ping(Shard& shard, const ShardEvent& ev) {
   const NodeId receiver = ev.a;   // the pinged node
   const NodeId pinger = ev.b;
   auto& nbrs = neighbors_[static_cast<std::size_t>(receiver)];
   nbrs.add(pinger);
   if (ev.gossip != kInvalidNode && ev.gossip != receiver) nbrs.add(ev.gossip);
 
-  NCClient& cl = *clients_[static_cast<std::size_t>(receiver)];
-  ShardMessage pong;
-  pong.kind = ShardMsgKind::kPong;
-  pong.t = ev.t_orig + static_cast<double>(ev.rtt_ms) / 1000.0;
-  pong.from = receiver;
-  pong.to = pinger;
-  pong.seq = msg_seq_[static_cast<std::size_t>(receiver)]++;
-  pong.rtt_ms = ev.rtt_ms;
-  pong.gt_rtt_ms = ev.gt_rtt_ms;
+  ShardEvent& pong = answer_with_pong(
+      shard, ev, ev.t_orig + static_cast<double>(ev.rtt_ms) / 1000.0);
   if (const auto g = nbrs.random_neighbor(); g.has_value() && *g != pinger)
     pong.gossip = *g;
-  // The remote's state as of reply time; the observer applies it on arrival.
-  pong.sys_coord = cl.system_coordinate();
-  pong.app_coord = cl.application_coordinate();
-  pong.coord_err = cl.error_estimate();
-  mailbox_.send(shard_idx_of(shard), shard.ownership.owner(pinger),
-                std::move(pong));
-  (void)t_proc;
 }
 
-void ShardedEngine::on_delivered_obs(Shard& shard, const ShardEvent& ev) {
-  // A trace record reached the OBSERVED node's owner: answer it exactly like
-  // a ping, stamping the node's current state into a pong at the record's
-  // own timestamp. The recorded source node observes it one hand-off later.
-  const NodeId observed = ev.a;
-  const NodeId observer = ev.b;
-  NCClient& cl = *clients_[static_cast<std::size_t>(observed)];
-  ShardMessage pong;
-  pong.kind = ShardMsgKind::kPong;
-  pong.t = ev.t_orig;
-  pong.from = observed;
-  pong.to = observer;
-  pong.seq = msg_seq_[static_cast<std::size_t>(observed)]++;
+ShardEvent& ShardedEngine::answer_with_pong(Shard& shard, const ShardEvent& ev,
+                                            double t) {
+  const auto responder = static_cast<std::size_t>(ev.a);
+  const NCClient& cl = *clients_[responder];
+  ShardEvent& pong =
+      mailbox_.append(shard_idx_of(shard), shard.ownership.owner(ev.b));
+  pong.t = pong.t_orig = t;
+  pong.kind = ShardEventKind::kPong;
+  pong.a = ev.b;
+  pong.b = ev.a;
+  pong.seq = msg_seq_[responder]++;
   pong.rtt_ms = ev.rtt_ms;
   pong.gt_rtt_ms = ev.gt_rtt_ms;
+  // The responder's state as of reply time; the observer applies it on
+  // arrival.
   pong.sys_coord = cl.system_coordinate();
   pong.app_coord = cl.application_coordinate();
   pong.coord_err = cl.error_estimate();
-  mailbox_.send(shard_idx_of(shard), shard.ownership.owner(observer),
-                std::move(pong));
+  return pong;
 }
 
 void ShardedEngine::on_delivered_pong(Shard& shard, double t_proc,
@@ -561,15 +532,10 @@ void ShardedEngine::on_delivered_pong(Shard& shard, double t_proc,
   // Route the destination-keyed error record to the destination's owner so
   // its streaming median sees one canonical input order.
   if (t_proc >= config_.measure_start_s && t_proc < config_.duration_s) {
-    ShardMessage rec;
-    rec.kind = ShardMsgKind::kDstError;
-    rec.t = t_proc;
-    rec.from = observer;
-    rec.to = remote;
-    rec.seq = msg_seq_[static_cast<std::size_t>(observer)]++;
-    rec.err = err;
-    mailbox_.send(shard_idx_of(shard), shard.ownership.owner(remote),
-                  std::move(rec));
+    mailbox_.send_dst_error(
+        shard_idx_of(shard), shard.ownership.owner(remote),
+        DstErrorRecord{t_proc, observer, remote,
+                       msg_seq_[static_cast<std::size_t>(observer)]++, err});
   }
 }
 
@@ -583,6 +549,16 @@ void ShardedEngine::read_trace_until(int shard_idx, double t_limit) {
         reader.done = true;
         return;
       }
+      // A NaN would break the queue key's strict weak order (and with it
+      // W-invariance); a step back would be observed late, silently.
+      // reader.seq counts the records read so far: this record's index.
+      const double t = reader.pending->t_s;
+      NC_CHECK_MSG(std::isfinite(t) && t >= reader.last_t_s,
+                   "trace reader " + std::to_string(shard_idx) + ": record " +
+                       std::to_string(reader.seq) + " has time " +
+                       std::to_string(t) +
+                       "; times must be finite, >= 0 and non-decreasing");
+      reader.last_t_s = t;
     }
     const lat::TraceRecord& rec = *reader.pending;
     if (rec.t_s >= config_.duration_s) {
@@ -608,18 +584,16 @@ void ShardedEngine::read_trace_until(int shard_idx, double t_limit) {
                          shard_idx,
                  "partitioned trace slice holds a foreign record");
 
-    ShardMessage msg;
-    msg.kind = ShardMsgKind::kObs;
-    msg.t = rec.t_s;
-    msg.from = rec.src;  // the observer
-    msg.to = rec.dst;    // the observed node: first stop of the record
-    msg.seq = reader.seq++;
-    msg.rtt_ms = rec.rtt_ms;
-    if (config_.collect_oracle) msg.gt_rtt_ms = rec.gt_rtt_ms;
-    mailbox_.send(shard_idx,
-                  shards_[static_cast<std::size_t>(shard_idx)].ownership.owner(
-                      rec.dst),
-                  std::move(msg));
+    ShardEvent& obs = mailbox_.append(
+        shard_idx,
+        shards_[static_cast<std::size_t>(shard_idx)].ownership.owner(rec.dst));
+    obs.t = obs.t_orig = rec.t_s;
+    obs.kind = ShardEventKind::kObs;
+    obs.a = rec.dst;  // the observed node: first stop of the record
+    obs.b = rec.src;  // the observer
+    obs.seq = reader.seq++;
+    obs.rtt_ms = rec.rtt_ms;
+    if (config_.collect_oracle) obs.gt_rtt_ms = rec.gt_rtt_ms;
     reader.pending.reset();
   }
 }
@@ -674,13 +648,12 @@ void ShardedEngine::run(lat::TraceSource& source) {
                "collect_oracle needs a source that stamps ground truth into "
                "its records (a TraceGenerator); trace files carry none");
   readers_.resize(shards_.size());
-  readers_[0] = ReaderState{&source, std::nullopt, 0, false};
+  readers_[0] = ReaderState{&source, std::nullopt, 0, 0.0, false};
   // Prime the pipeline: epoch 0's records must already sit in the mailbox
   // when the first delivery phase collects it (each reader stays one window
-  // ahead from here on). Runs before any worker launches, so sending and
-  // sealing from the main thread is safe.
+  // ahead from here on). Runs before any worker launches, so sending from
+  // the main thread is safe.
   read_trace_until(0, config_.ping_interval_s);
-  mailbox_.seal_outboxes(0);
   run_epochs();
   readers_.clear();
 }
@@ -700,13 +673,11 @@ void ShardedEngine::run_partitioned(
     NC_CHECK_MSG(sources[s] != nullptr, "null trace slice");
     NC_CHECK_MSG(sources[s]->num_nodes() <= num_nodes(),
                  "trace has more nodes than driver");
-    readers_[s] = ReaderState{sources[s], std::nullopt, 0, false};
+    readers_[s] = ReaderState{sources[s], std::nullopt, 0, 0.0, false};
   }
   // Prime every reader's first window (main thread; workers not launched).
-  for (std::size_t s = 0; s < readers_.size(); ++s) {
+  for (std::size_t s = 0; s < readers_.size(); ++s)
     read_trace_until(static_cast<int>(s), config_.ping_interval_s);
-    mailbox_.seal_outboxes(static_cast<int>(s));
-  }
   run_epochs();
   readers_.clear();
 }
@@ -765,7 +736,7 @@ void ShardedEngine::run_epochs() {
           apply_migrations(shard, s);
           if (decide) decide_rebalance(shard);
         }
-        // Delivery phase: own node dynamics + own inbox only.
+        // Delivery phase: own node dynamics + own mailbox column only.
         if (mode_ == Mode::kOnline)
           for (NodeId id : shard.owned) advance_node_dyn(id, epoch_start);
         deliver_batch(shard, s, epoch_start);
@@ -791,11 +762,9 @@ void ShardedEngine::run_epochs() {
       // Destination error records emitted in the final epoch still count:
       // one last drain, applying only metric records (any in-flight
       // pings/pongs are past end-of-run, like the retired serial engines').
-      mailbox_.collect_into(s, shard.inbox);
-      for (const ShardMessage& msg : shard.inbox) {
-        if (msg.kind == ShardMsgKind::kDstError)
-          shard.collector->record_dst_error(msg.t, msg.to, msg.err);
-      }
+      mailbox_.collect_dst_errors_into(s, shard.dst_errors);
+      for (const DstErrorRecord& rec : shard.dst_errors)
+        shard.collector->record_dst_error(rec.t, rec.to, rec.err);
       // Close out the run: a final drift sample at duration_s, then flush
       // the collector's in-flight node-seconds.
       for (NodeId id : shard.collector->config().tracked_nodes)
@@ -925,9 +894,9 @@ void ShardedEngine::apply_migrations(Shard& shard, int shard_idx) {
       shard.links.install_row(static_cast<std::size_t>(mig.node), mig.links);
     shard.estimator->install_node_state(mig.node, mig.estimator);
     shard.collector->install_node_state(mig.node, std::move(mig.metrics));
-    // The node's not-yet-processed events join this epoch's staging buffer;
-    // deliver_batch's push_batch sorts the union into the canonical
-    // processing order.
+    // The node's not-yet-processed events join this epoch's staging buffer
+    // ahead of the delivered ones (which alone get clamped); push_batch
+    // orders the union canonically.
     shard.staging.insert(shard.staging.end(), mig.pending.begin(),
                          mig.pending.end());
   }
@@ -956,7 +925,7 @@ MemoryBudget ShardedEngine::memory_budget() const {
     b.link_bytes += shard.links.memory_bytes();
     b.estimator_bytes += shard.estimator->stats().memory_bytes;
     b.queue_bytes += shard.queue.memory_bytes() +
-                     shard.inbox.capacity() * sizeof(ShardMessage) +
+                     shard.dst_errors.capacity() * sizeof(DstErrorRecord) +
                      shard.staging.capacity() * sizeof(ShardEvent);
     b.collector_bytes += shard.collector->memory_bytes();
   }

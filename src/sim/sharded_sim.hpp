@@ -15,8 +15,8 @@
 // lock-step epochs. Within an epoch a shard processes only its own
 // entities; all cross-node interaction (ping delivery, pong observation,
 // replay-record routing, per-destination metric records) travels as
-// messages handed over at epoch boundaries and merged into a canonical,
-// message-intrinsic order (shard_mailbox.hpp).
+// events handed over at epoch boundaries, which the receiving shard's queue
+// processes in a canonical, event-intrinsic order (shard_mailbox.hpp).
 //
 // Online mode: epochs are `ping_interval_s` long; shards fire their nodes'
 // ping timers, sample directed links, and exchange ping/pong traffic.
@@ -24,19 +24,19 @@
 // Replay mode: epochs are `epoch_s` long and the traffic comes from a
 // trace. With a single source, shard 0 doubles as the READER: during its
 // processing phase it reads one epoch window of records ahead and mails
-// each record as a kObs message to the OBSERVED node's owner shard. With a
+// each record as a kObs event to the OBSERVED node's owner shard. With a
 // PRE-PARTITIONED trace (run_partitioned; lat::partition_trace splits one
 // pass by owner shard of dst), EVERY shard reads its own slice in its own
 // processing phase — the serial-reader Amdahl bottleneck disappears, and
-// the result stays bit-identical because the canonical merge order
-// (t, kind, from, to, seq) only consults seq for records identical in the
+// the result stays bit-identical because the canonical event order
+// (t, kind, dst, src, seq) only consults seq for records identical in the
 // first four keys, which necessarily sit in the same slice in their
-// original relative order. That shard answers during the
-// next epoch exactly like a pinged node answers a ping — it stamps its
-// client's current coordinate state into a kPong at the record's own
-// timestamp — and the pong is observed by the recorded source node one
-// hand-off later, clamped up to the delivering epoch's start. A record at
-// time t is therefore observed against the observed node's state at time t,
+// original relative order. That shard answers during the next epoch
+// exactly like a pinged node answers a ping — it stamps its client's
+// current coordinate state into a kPong at the record's own timestamp — and
+// the pong is observed by the recorded source node one hand-off later,
+// clamped up to the delivering epoch's start. A record at time t is
+// therefore observed against the observed node's state at time t,
 // at most ~2 epochs after t; records whose observation would land at or
 // past duration_s are dropped (declared end-of-run semantics, exactly like
 // the online engine's in-flight pings).
@@ -47,19 +47,19 @@
 //    Vivaldi's per-node stream; replay mode draws nothing at all — the
 //    trace and the serial reader own every random bit);
 //  * each entity consumes its events in a canonical order: local timers are
-//    totally ordered by time per node, and delivered batches are merged in
-//    the canonical message order before entering the shard's queue;
+//    totally ordered by time per node, delivered batches by a queue key
+//    that is total over them (arrival order cannot matter), and dst-error
+//    records are merged in their canonical order;
 //  * cross-node per-second metric sums are accumulated in fixed-point by
 //    MetricsCollector and merged associatively (MetricsCollector::merge).
 //
 // The steady-state event loop is allocation-free (DESIGN.md "Event core"):
-// per-shard calendar queues hold the timers, delivery batches are k-way
-// merges into buffers reused across epochs that then wait in the queue's
-// sorted lane, and per-link latency state lives in a per-row sparse
-// ShardLinkStore that holds only the links a run touches
-// (common/link_store.hpp).
+// per-shard calendar queues hold the timers, delivered events gather into
+// buffers reused across epochs and wait in the queue's sorted lane, and
+// per-link latency state lives in a per-row sparse ShardLinkStore that
+// holds only the links a run touches (common/link_store.hpp).
 //
-// Protocol semantics are declared per mode: messages cross the network at
+// Protocol semantics are declared per mode: events cross the network at
 // epoch granularity (a ping sent in epoch k is answered in epoch k+1 and
 // observed one delivery later, each step clamped up to the delivering
 // epoch's start; a replay record is answered in the epoch containing it and
@@ -223,8 +223,8 @@ struct MemoryBudget {
   /// high-water mark of migration payloads staged at one rebalance barrier.
   std::uint64_t rebalance_bytes = 0;
   /// Per-shard event queues (calendar buckets and scratch, the delivered
-  /// lane and its spare) plus each shard's delivery inbox and staging
-  /// buffer.
+  /// lane, its spare and the sort keys) plus each shard's dst-error and
+  /// staging buffers.
   std::uint64_t queue_bytes = 0;
   /// Per-shard MetricsCollectors: per-node error and movement stores, the
   /// per-second series, drift series and the bucketed error time series.
@@ -396,8 +396,8 @@ class ShardedEngine {
     /// Directed-link state indexed (src, dst) over the whole node-id space;
     /// only the owned nodes' rows ever fill (online mode only).
     ShardLinkStore<DirLink> links;
-    /// Delivery batch buffer, reused every epoch (collect_into target).
-    std::vector<ShardMessage> inbox;
+    /// Merged dst-error records of one delivery, reused every epoch.
+    std::vector<DstErrorRecord> dst_errors;
     /// Delivered-event staging for ShardEventQueue::push_batch, reused
     /// every epoch.
     std::vector<ShardEvent> staging;
@@ -435,13 +435,17 @@ class ShardedEngine {
   void process_epoch(Shard& shard, int shard_idx, double epoch_end);
   void run_epochs();
   void on_ping_timer(Shard& shard, double t, NodeId node);
-  void on_delivered_ping(Shard& shard, double t_proc, const ShardEvent& ev);
+  void on_delivered_ping(Shard& shard, const ShardEvent& ev);
   void on_delivered_pong(Shard& shard, double t_proc, const ShardEvent& ev);
-  void on_delivered_obs(Shard& shard, const ShardEvent& ev);
+  /// Appends the pong that answers `ev` (a ping, or a replay trace record)
+  /// to the sender's owner: ev.a's current coordinate state at time `t`.
+  /// The reference is valid until the shard's next append to that cell.
+  ShardEvent& answer_with_pong(Shard& shard, const ShardEvent& ev, double t);
   /// Replay reader (a reading shard's processing phase): routes every
   /// record with t < t_limit to the observed node's owner as a kObs
-  /// message. Single-source replay runs one reader on shard 0; partitioned
-  /// replay runs one per shard over its own slice.
+  /// event. Single-source replay runs one reader on shard 0; partitioned
+  /// replay runs one per shard over its own slice. Throws CheckError on a
+  /// time that is not finite, negative, or below the reader's last one.
   void read_trace_until(int shard_idx, double t_limit);
   DirLink& link_at(Shard& shard, NodeId src, NodeId dst, double t);
   /// Stamps the shard's owned nodes for the pending publish: into the staged
@@ -463,7 +467,7 @@ class ShardedEngine {
   void pack_departures(Shard& shard, int shard_idx);
   /// Top of the NEXT epoch's delivery phase (barrier-separated from the
   /// pack): owned lists are updated and arriving state is installed BEFORE
-  /// node dynamics advance and the epoch's messages deliver.
+  /// node dynamics advance and the epoch's events deliver.
   void apply_migrations(Shard& shard, int shard_idx);
 
   Mode mode_;
@@ -533,13 +537,14 @@ class ShardedEngine {
     lat::TraceSource* source = nullptr;
     std::optional<lat::TraceRecord> pending;
     std::uint64_t seq = 0;
+    double last_t_s = 0.0;  // the next record may not be earlier
     bool done = true;
   };
 
   // Replay reader state.
   std::vector<ReaderState> readers_;
   /// Partitioned mode: each reading shard checks it owns every dst it reads
-  /// (a mis-split trace would silently break the canonical merge order).
+  /// (a mis-split trace would silently break the canonical event order).
   bool partitioned_ = false;
 
   std::uint64_t pings_sent_ = 0;

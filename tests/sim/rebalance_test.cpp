@@ -295,7 +295,7 @@ TEST(Rebalance, MemoryBudgetAccountsMigrationBuffers) {
   EXPECT_GT(on.memory.rebalance_bytes, off.memory.rebalance_bytes);
   // rebalance_bytes participates in the reported total.
   EXPECT_GE(on.memory.total(), on.memory.rebalance_bytes);
-  // So do the per-shard event queues (with inbox and staging) and metrics
+  // So do the per-shard event queues (with their delivery buffers) and metrics
   // collectors, which every online run fills.
   for (const MemoryBudget& m : {off.memory, on.memory}) {
     EXPECT_GT(m.queue_bytes, 0u);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace nc::sim {
 namespace {
@@ -233,6 +234,92 @@ TEST(ShardEventQueue, PushBatchMatchesIndividualPushes) {
     ASSERT_EQ(a.seq, b.seq);
   }
   EXPECT_TRUE(batched.empty());
+}
+
+// The mailbox hands push_batch each epoch's events in whatever order the
+// senders appended them. The key (t, kind, a, b, seq) is total over a
+// batch, so every permutation of one batch must pop the identical events,
+// field for field — with and without an unconsumed lane tail to merge.
+TEST(ShardEventQueue, PushBatchIsIndependentOfBatchOrder) {
+  constexpr double kEpochEnd = 5.0;
+  // Many events share the clamped epoch start, so kind, owner, sender and
+  // seq decide; some are due past the epoch end. Distinct seq ranges keep
+  // the keys of two batches apart.
+  const auto make_batch = [](double start, std::uint64_t salt,
+                             std::uint64_t first_seq) {
+    std::vector<ShardEvent> evs;
+    std::uint64_t x = salt;
+    for (std::uint64_t i = first_seq; i < first_seq + 300; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto kind = static_cast<ShardEventKind>(2 + (x >> 20) % 3);
+      const double t = (x >> 8) % 4 == 0
+                           ? start + static_cast<double>((x >> 30) % 64) / 8.0
+                           : start;
+      ShardEvent ev = shard_event(t, kind, static_cast<NodeId>((x >> 40) % 8),
+                                  static_cast<NodeId>((x >> 48) % 8), i);
+      ev.t_orig = t - 1.0;
+      ev.rtt_ms = static_cast<float>(i);
+      ev.gossip = static_cast<NodeId>(i % 13);
+      ev.gt_rtt_ms = static_cast<double>(x % 1000);
+      ev.sys_coord = Coordinate(Vec{static_cast<double>(i), 1.0, 2.0});
+      ev.app_coord = Coordinate(Vec{3.0, static_cast<double>(i), 4.0});
+      ev.coord_err = static_cast<double>(i) / 300.0;
+      evs.push_back(ev);
+    }
+    return evs;
+  };
+  const auto drain = [](ShardEventQueue& q) {
+    std::vector<ShardEvent> out;
+    while (!q.empty()) out.push_back(q.pop());
+    return out;
+  };
+  const auto expect_identical = [](const std::vector<ShardEvent>& got,
+                                   const std::vector<ShardEvent>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const ShardEvent& g = got[i];
+      const ShardEvent& w = want[i];
+      ASSERT_EQ(g.t, w.t) << "pop " << i;
+      ASSERT_EQ(g.kind, w.kind) << "pop " << i;
+      ASSERT_EQ(g.a, w.a) << "pop " << i;
+      ASSERT_EQ(g.b, w.b) << "pop " << i;
+      ASSERT_EQ(g.seq, w.seq) << "pop " << i;
+      ASSERT_EQ(g.t_orig, w.t_orig) << "pop " << i;
+      ASSERT_EQ(g.rtt_ms, w.rtt_ms) << "pop " << i;
+      ASSERT_EQ(g.gossip, w.gossip) << "pop " << i;
+      ASSERT_EQ(g.gt_rtt_ms, w.gt_rtt_ms) << "pop " << i;
+      ASSERT_EQ(g.sys_coord, w.sys_coord) << "pop " << i;
+      ASSERT_EQ(g.app_coord, w.app_coord) << "pop " << i;
+      ASSERT_EQ(g.coord_err, w.coord_err) << "pop " << i;
+    }
+  };
+  // With a tail: a first batch is drained up to the epoch end, leaving its
+  // later events in the lane for the second batch to merge with.
+  const auto run = [&](bool with_tail, const std::vector<ShardEvent>& batch) {
+    ShardEventQueue q;
+    if (with_tail) {
+      std::vector<ShardEvent> first = make_batch(0.0, 5, 0);
+      q.push_batch(first);
+      while (q.has_event_before(kEpochEnd)) (void)q.pop();
+      EXPECT_FALSE(q.empty());
+    }
+    std::vector<ShardEvent> copy = batch;
+    q.push_batch(copy);
+    return drain(q);
+  };
+
+  const std::vector<ShardEvent> batch = make_batch(kEpochEnd, 11, 1000);
+  Rng rng(23);
+  for (const bool with_tail : {false, true}) {
+    const std::vector<ShardEvent> want = run(with_tail, batch);
+    EXPECT_EQ(want.size() > batch.size(), with_tail);
+    for (int k = 0; k < 20; ++k) {
+      std::vector<ShardEvent> shuffled = batch;
+      for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.uniform_int(i)]);
+      expect_identical(run(with_tail, shuffled), want);
+    }
+  }
 }
 
 // A lane tail — a pong due past the epoch end, a migrated node's timer —

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -402,6 +404,104 @@ TEST(ShardedReplay, WorkerFaultsSurfaceInShardOrder) {
   // A fault in the priming read surfaces before any worker starts.
   EXPECT_EQ(run_with_faults(whole, prefix, {kNoFault, kNoFault, 1.0, kNoFault}),
             2);
+}
+
+/// A trace held in memory, handed out in order.
+class RecordsSource final : public lat::TraceSource {
+ public:
+  RecordsSource(std::vector<lat::TraceRecord> records, int num_nodes)
+      : records_(std::move(records)), num_nodes_(num_nodes) {}
+
+  std::optional<lat::TraceRecord> next() override {
+    if (next_ == records_.size()) return std::nullopt;
+    return records_[next_++];
+  }
+  int num_nodes() const override { return num_nodes_; }
+
+ private:
+  std::vector<lat::TraceRecord> records_;
+  int num_nodes_;
+  std::size_t next_ = 0;
+};
+
+// A record time that is not finite, negative, or below the same reader's
+// previous record is refused with a CheckError naming the reader and the
+// record's index, in single-reader and partitioned replay alike: a NaN
+// breaks the queue key's strict weak order (and with it W-invariance), and
+// a step back would be observed silently in a later epoch. Equal times
+// are fine.
+TEST(ShardedReplay, RejectsNonFiniteOrBackwardsRecordTimes) {
+  constexpr int kNodes = 4;
+  constexpr double kDuration = 60.0;
+  // 200 records over every ordered pair, two per timestamp, 0.25 s apart.
+  std::vector<lat::TraceRecord> trace;
+  for (int i = 0; i < 200; ++i) {
+    lat::TraceRecord rec;
+    rec.t_s = static_cast<double>(i / 2) * 0.25;
+    rec.src = i % kNodes;
+    rec.dst = (rec.src + 1 + (i / kNodes) % (kNodes - 1)) % kNodes;
+    rec.rtt_ms = static_cast<float>(10 + i % 7);
+    trace.push_back(rec);
+  }
+  const auto with_time = [&](const std::vector<lat::TraceRecord>& records,
+                             std::size_t i, double t) {
+    std::vector<lat::TraceRecord> out = records;
+    out[i].t_s = t;
+    return out;
+  };
+  const auto rejection = [](const std::function<void()>& run) -> std::string {
+    try {
+      run();
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const auto single = [&](std::vector<lat::TraceRecord> records, int shards) {
+    return rejection([&] {
+      RecordsSource src(std::move(records), kNodes);
+      ShardedEngine engine(small_replay(kDuration, shards), kNodes);
+      engine.run(src);
+    });
+  };
+  const auto expect_names = [](const std::string& what,
+                               const std::string& reader_and_record) {
+    EXPECT_NE(what.find(reader_and_record), std::string::npos) << what;
+  };
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int shards : {1, 3}) {
+    EXPECT_EQ(single(trace, shards), "accepted");
+    expect_names(single(with_time(trace, 100, nan), shards),
+                 "trace reader 0: record 100 ");
+    expect_names(single(with_time(trace, 7, inf), shards),
+                 "trace reader 0: record 7 ");
+    expect_names(single(with_time(trace, 0, -0.5), shards),
+                 "trace reader 0: record 0 ");
+    expect_names(single(with_time(trace, 150, trace[149].t_s - 3.0), shards),
+                 "trace reader 0: record 150 ");
+  }
+
+  // Partitioned: each shard's reader checks its own slice.
+  std::vector<lat::TraceRecord> slices[2];
+  for (const lat::TraceRecord& rec : trace)
+    slices[shard_of_node(rec.dst, kNodes, 2)].push_back(rec);
+  const auto partitioned = [&](std::vector<lat::TraceRecord> slice0,
+                               std::vector<lat::TraceRecord> slice1) {
+    return rejection([&] {
+      RecordsSource a(std::move(slice0), kNodes);
+      RecordsSource b(std::move(slice1), kNodes);
+      ShardedEngine engine(small_replay(kDuration, 2), kNodes);
+      engine.run_partitioned({&a, &b});
+    });
+  };
+  EXPECT_EQ(partitioned(slices[0], slices[1]), "accepted");
+  expect_names(partitioned(slices[0], with_time(slices[1], 20, nan)),
+               "trace reader 1: record 20 ");
+  expect_names(partitioned(with_time(slices[0], 30, slices[0][29].t_s - 1.0),
+                           slices[1]),
+               "trace reader 0: record 30 ");
 }
 
 TEST(ShardedReplay, MoreShardsThanNodesWorks) {
