@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const nc::Flags flags = ncb::parse_flags(argc, argv, {"window"});
   nc::eval::ScenarioSpec spec = ncb::scenario_spec(
       flags, {.nodes = 150, .hours = 2.0, .full_nodes = 269, .full_hours = 4.0});
-  const int window = static_cast<int>(flags.get_int("window", 32));
+  const int window = flags.get_int32("window", 32);
 
   ncb::print_header("Ablation: RANKSUM (1-D two-sample test) vs ENERGY/RELATIVE",
                     "classical tests are 1-D — the gap that motivated the "

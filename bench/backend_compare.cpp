@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
   }
 
   const bool full = flags.get_bool("full", false);
-  const int nodes = static_cast<int>(flags.get_int("nodes", full ? 269 : 96));
+  const int nodes = flags.get_int32("nodes", full ? 269 : 96);
   const double hours = flags.get_double("hours", full ? 4.0 : 1.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int shards = static_cast<int>(flags.get_int("shards", 0));
+  const int shards = flags.get_int32("shards", 0);
   const eval::ExperimentGrid grid = ncb::grid(flags);
   const std::vector<std::string> backends = eval::backend_names();
 

@@ -71,7 +71,6 @@ struct WorkloadDefaults {
   std::int64_t seed = 1;
   const char* scenario = "planetlab";
   nc::eval::SimMode mode = nc::eval::SimMode::kReplay;
-  int shards = 0;  // worker shards within one run (0 and 1: one shard)
 };
 
 /// Builds the bench's base spec: the --scenario registry preset with the
@@ -88,13 +87,12 @@ inline nc::eval::ScenarioSpec scenario_spec(const nc::Flags& flags,
   nc::eval::ScenarioSpec spec = nc::eval::make_scenario(name);
   spec.mode = d.mode;
   const bool full = flags.get_bool("full", false);
-  spec.workload.num_nodes =
-      static_cast<int>(flags.get_int("nodes", full ? d.full_nodes : d.nodes));
+  spec.workload.num_nodes = flags.get_int32("nodes", full ? d.full_nodes : d.nodes);
   spec.workload.duration_s =
       3600.0 * flags.get_double("hours", full ? d.full_hours : d.hours);
   spec.workload.seed =
       static_cast<std::uint64_t>(flags.get_int("seed", d.seed));
-  spec.shards = static_cast<int>(flags.get_int("shards", d.shards));
+  spec.shards = flags.get_int32("shards", 0);
   // Route-change schedules compose into any workload; applied after the
   // node-count/duration overrides so the expansion sees the final values.
   const std::string schedule = flags.get_string("route-schedule", "none");
@@ -112,16 +110,14 @@ inline nc::eval::ScenarioSpec scenario_spec(const nc::Flags& flags,
     std::exit(2);
   }
   nc::eval::apply_backend(spec, backend);
-  spec.rebalance_interval_epochs =
-      static_cast<int>(flags.get_int("rebalance", 0));
-  spec.rebalance_max_moves = static_cast<int>(
-      flags.get_int("rebalance-moves", spec.rebalance_max_moves));
+  spec.rebalance_interval_epochs = flags.get_int32("rebalance", 0);
+  spec.rebalance_max_moves = flags.get_int32("rebalance-moves", spec.rebalance_max_moves);
   return spec;
 }
 
 /// The --jobs worker pool (default 1: serial).
 inline nc::eval::ExperimentGrid grid(const nc::Flags& flags) {
-  return nc::eval::ExperimentGrid(static_cast<int>(flags.get_int("jobs", 1)));
+  return nc::eval::ExperimentGrid(flags.get_int32("jobs", 1));
 }
 
 inline void print_header(const std::string& title, const std::string& paper_claim) {

@@ -14,8 +14,9 @@
 //     bounds replay scaling per Amdahl),
 // reports events/sec, and cross-checks that every shard count produced
 // bit-identical metrics (the kernel's core guarantee; the run aborts loudly
-// if not). Each row is also printed as a JSON object for BENCH_pr5.json-
-// style records; scripts/bench_diff.py compares such records across PRs.
+// if not). Each row is also printed as a JSON object; no gate reads those
+// rows (the regression gate compares perfbench records, DESIGN.md Sec. 16),
+// and until perfbench takes a shard count they are the shard-count sweep.
 //
 // Flags: --scenario (planetlab), --nodes (0 = the full 256/1k/4k suite,
 //        otherwise one size), --hours (1), --seed (7), --max-shards (4),
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   nc::eval::ScenarioSpec base = ncb::scenario_spec(
       flags, {.nodes = 0, .hours = 1.0, .full_nodes = 0, .full_hours = 1.0,
               .seed = 7, .mode = nc::eval::SimMode::kOnline});
-  const int max_shards = static_cast<int>(flags.get_int("max-shards", 4));
+  const int max_shards = flags.get_int32("max-shards", 4);
   const bool run_replay = flags.get_int("replay", 1) != 0;
 
   std::vector<int> sizes;

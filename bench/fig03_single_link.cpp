@@ -24,14 +24,13 @@ int main(int argc, char** argv) {
 
   nc::lat::Topology topo = nc::lat::Topology::make(cfg.topology);
   const int far_region = topo.region_count() > 2 ? 2 : topo.region_count() - 1;
-  const nc::NodeId src = static_cast<nc::NodeId>(
-      flags.get_int("src", topo.first_node_in_region(0)));
+  const nc::NodeId src = flags.get_int32("src", topo.first_node_in_region(0));
   // Single-region scenarios (lan-cluster) would make the far-region default
   // collapse onto src; fall back to src's neighbor.
   nc::NodeId default_dst = topo.first_node_in_region(far_region);
   if (default_dst == src)
     default_dst = static_cast<nc::NodeId>((src + 1) % topo.size());
-  const nc::NodeId dst = static_cast<nc::NodeId>(flags.get_int("dst", default_dst));
+  const nc::NodeId dst = flags.get_int32("dst", default_dst);
   if (src == dst) {
     std::fprintf(stderr, "--src and --dst must name two distinct nodes\n");
     return 2;

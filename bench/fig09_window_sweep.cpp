@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
       ncb::parse_flags(argc, argv, {"max-log2", "energy-tau", "relative-eps"});
   nc::eval::ScenarioSpec spec = ncb::scenario_spec(
       flags, {.nodes = 200, .hours = 2.0, .full_nodes = 269, .full_hours = 4.0});
-  const int max_log2 = static_cast<int>(flags.get_int("max-log2", 12));
+  const int max_log2 = flags.get_int32("max-log2", 12);
   const double tau = flags.get_double("energy-tau", 8.0);
   const double eps = flags.get_double("relative-eps", 0.3);
   const auto grid = ncb::grid(flags);

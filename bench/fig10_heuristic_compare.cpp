@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
       ncb::parse_flags(argc, argv, {"window", "taus", "relative-eps"});
   nc::eval::ScenarioSpec spec = ncb::scenario_spec(
       flags, {.nodes = 200, .hours = 2.0, .full_nodes = 269, .full_hours = 4.0});
-  const int window = static_cast<int>(flags.get_int("window", 32));
+  const int window = flags.get_int32("window", 32);
   const auto taus =
       flags.get_double_list("taus", {1, 2, 4, 8, 16, 32, 64, 128, 256});
   const auto epss = flags.get_double_list(

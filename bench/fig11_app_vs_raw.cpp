@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   const nc::Flags flags = ncb::parse_flags(argc, argv, {"window"});
   nc::eval::ScenarioSpec spec = ncb::scenario_spec(flags);
-  const int window = static_cast<int>(flags.get_int("window", 32));
+  const int window = flags.get_int32("window", 32);
 
   ncb::print_header("Fig. 11: RELATIVE/ENERGY vs raw MP filter",
                     "error CDFs coincide; instability CDF shifts left by "

@@ -16,9 +16,8 @@
 // deployment would be) and reports events/sec plus the per-shard busy-time
 // spread (max-min)/mean of CLOCK_THREAD_CPUTIME_ID over delivery +
 // processing segments (barrier waits excluded). Each row also prints a
-// JSON object for the BENCH record's "rebalance" section;
-// scripts/bench_diff.py gates events/sec (higher) and util_spread (lower)
-// across PRs.
+// JSON object; no gate reads those rows (the regression gate compares
+// perfbench records, DESIGN.md Sec. 16).
 //
 // Flags: --scenario (flash-crowd; selects the ONE preset to run instead of
 //        the two-preset suite, and the selfcheck workload), --nodes (0 =
@@ -130,10 +129,9 @@ int main(int argc, char** argv) {
   const nc::Flags flags = ncb::parse_flags_exact(
       argc, argv, {"scenario", "nodes", "hours", "seed", "shards", "rebalance",
                    "rebalance-moves", "selfcheck", "full"});
-  const int shards = std::max(2, static_cast<int>(flags.get_int("shards", 2)));
-  const int interval = std::max(1, static_cast<int>(flags.get_int("rebalance", 8)));
-  const int max_moves =
-      std::max(1, static_cast<int>(flags.get_int("rebalance-moves", 64)));
+  const int shards = std::max(2, flags.get_int32("shards", 2));
+  const int interval = std::max(1, flags.get_int32("rebalance", 8));
+  const int max_moves = std::max(1, flags.get_int32("rebalance-moves", 64));
 
   const auto spec_for = [&](const std::string& scenario, int nodes,
                             double hours) {
@@ -179,8 +177,7 @@ int main(int argc, char** argv) {
   if (flags.has("scenario"))
     scenarios = {flags.get_string("scenario", "flash-crowd")};
   std::vector<int> sizes = {10000, 20000};
-  if (flags.get_int("nodes", 0) > 0)
-    sizes = {static_cast<int>(flags.get_int("nodes", 0))};
+  if (const int nodes = flags.get_int32("nodes", 0); nodes > 0) sizes = {nodes};
   const double hours = flags.get_double("hours", 0.25);
 
   ncb::print_header(

@@ -26,9 +26,9 @@ using namespace nc;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("nodes", 120));
+  const int n = flags.get_int32("nodes", 120);
   const double duration = 60.0 * flags.get_double("minutes", 30.0);
-  const int k = static_cast<int>(flags.get_int("k", 5));
+  const int k = flags.get_int32("k", 5);
 
   // Build coordinates from a synthetic measurement stream on the
   // epoch-sharded engine, publishing snapshots for the service to read.

@@ -25,9 +25,9 @@ using namespace nc;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("nodes", 120));
+  const int n = flags.get_int32("nodes", 120);
   const double duration = 60.0 * flags.get_double("minutes", 30.0);
-  const int num_replicas = static_cast<int>(flags.get_int("replicas", 6));
+  const int num_replicas = flags.get_int32("replicas", 6);
 
   // Build coordinate state by replaying a synthetic measurement stream
   // through the epoch-sharded engine, publishing snapshots as it runs (the

@@ -1,9 +1,11 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -13,6 +15,15 @@ namespace {
 
 bool looks_like_flag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
+}
+
+// strtod over the whole of `s`; false on an empty, partial, non-finite or
+// out-of-range value (strtod takes "" as 0 and accepts "nan" and "inf").
+bool parse_double(const std::string& s, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(s.c_str(), &end);
+  return !s.empty() && *end == '\0' && errno != ERANGE && std::isfinite(out);
 }
 
 }  // namespace
@@ -46,10 +57,8 @@ std::string Flags::get_string(const std::string& name,
 double Flags::get_double(const std::string& name, double default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0')
-    bad_value("bad double for --" + name + ": " + it->second);
+  double v = 0.0;
+  if (!parse_double(it->second, v)) bad_value("bad double for --" + name + ": " + it->second);
   return v;
 }
 
@@ -57,10 +66,18 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t default_value)
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0')
+  if (it->second.empty() || *end != '\0' || errno == ERANGE)
     bad_value("bad integer for --" + name + ": " + it->second);
   return v;
+}
+
+int Flags::get_int32(const std::string& name, int default_value) const {
+  const std::int64_t v = get_int(name, default_value);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+    bad_value("bad integer for --" + name + ": " + values_.at(name) + " (outside int)");
+  return static_cast<int>(v);
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value) const {
@@ -76,17 +93,18 @@ std::vector<double> Flags::get_double_list(
     const std::string& name, const std::vector<double>& default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
+  // Every comma-separated element must parse, so "", "1," and "1,,2" fail.
+  const std::string& list = it->second;
   std::vector<double> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == nullptr || *end != '\0' || item.empty())
-      bad_value("bad list element for --" + name + ": " + it->second);
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = list.find(',', start);
+    double v = 0.0;
+    if (!parse_double(list.substr(start, comma - start), v))
+      bad_value("bad list element for --" + name + ": " + list);
     out.push_back(v);
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
   }
-  return out;
 }
 
 std::vector<std::string> Flags::unknown_flags(

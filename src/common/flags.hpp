@@ -27,9 +27,12 @@ class Flags {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& default_value) const;
+  /// Numeric getters reject an empty, non-finite or out-of-range value.
   [[nodiscard]] double get_double(const std::string& name, double default_value) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t default_value) const;
+  /// get_int narrowed to int; a value outside int's range is malformed.
+  [[nodiscard]] int get_int32(const std::string& name, int default_value) const;
   /// A bare --flag or --flag=true/1 is true; --flag=false/0 is false.
   [[nodiscard]] bool get_bool(const std::string& name, bool default_value) const;
 

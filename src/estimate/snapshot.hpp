@@ -135,7 +135,7 @@ struct SnapshotDelta {
            entries.capacity() * sizeof(SnapshotDeltaEntry);
   }
   /// Bytes this delta puts on the wire (header + packed entries) — the
-  /// publish-cost unit bench_serving reports per epoch.
+  /// publish-cost unit behind perfbench's estimate.publish_bytes_per_epoch.
   [[nodiscard]] std::uint64_t wire_bytes() const noexcept {
     return 32 + entries.size() * sizeof(SnapshotDeltaEntry);
   }

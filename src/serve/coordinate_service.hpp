@@ -17,8 +17,8 @@
 // synchronized — it keeps per-instance query counters and a materialized
 // SnapshotView — but it is cheap (a few vectors of num_nodes entries) and
 // entirely read-only towards the engine, so the serving pattern is ONE
-// INSTANCE PER CLIENT THREAD over the same publisher
-// (serve/load_generator.cpp does exactly that). Every query refreshes the
+// INSTANCE PER CLIENT THREAD over the same publisher (perfbench's
+// serve-churn client does exactly that). Every query refreshes the
 // estimator's view: a cached-version no-op between publishes, one
 // pointer-sized critical section when something new was published, and —
 // in delta mode — an O(changed slots) apply instead of any O(n) work.
@@ -35,23 +35,15 @@
 
 namespace nc::serve {
 
-/// Per-instance query counters (merge across per-thread instances with
-/// add(); empty_answers counts queries that found no usable snapshot
-/// state — before the first publish, or unplaced/down endpoints).
+/// Per-instance query counters; empty_answers counts queries that found no
+/// usable snapshot state — before the first publish, or unplaced/down
+/// endpoints.
 struct ServiceStats {
   std::uint64_t queries = 0;
   std::uint64_t distance_queries = 0;
   std::uint64_t nearest_queries = 0;
   std::uint64_t centroid_queries = 0;
   std::uint64_t empty_answers = 0;
-
-  void add(const ServiceStats& o) noexcept {
-    queries += o.queries;
-    distance_queries += o.distance_queries;
-    nearest_queries += o.nearest_queries;
-    centroid_queries += o.centroid_queries;
-    empty_answers += o.empty_answers;
-  }
 };
 
 class CoordinateService {

@@ -202,7 +202,8 @@ struct ReplayConfig {
 };
 
 /// Per-run byte accounting of the engine's big state blocks (surfaced in
-/// eval reports and BENCH rows; fields are heap bytes held at query time).
+/// eval reports, bench_event_core rows and perfbench's memory line; fields
+/// are heap bytes held at query time).
 struct MemoryBudget {
   std::uint64_t client_bytes = 0;     // NCClients: link rows + heuristic windows
   std::uint64_t link_bytes = 0;       // per-shard directed-link stores

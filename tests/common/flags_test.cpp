@@ -75,6 +75,21 @@ TEST(Flags, MalformedNumbersRejected) {
   EXPECT_THROW((void)f.get_int("x", 0), CheckError);
   EXPECT_THROW((void)f.get_double("x", 0.0), CheckError);
   EXPECT_THROW((void)f.get_bool("x", false), CheckError);
+  // strtod/strtoll take "" as 0, accept nan and inf, and clamp on overflow.
+  for (const char* v : {"--x=", "--x=nan", "--x=inf", "--x=-inf", "--x=1e999", "--x=1e-999"}) {
+    EXPECT_THROW((void)make({v}).get_double("x", 0.0), CheckError) << v;
+    EXPECT_THROW((void)make({v}).get_double_list("x", {}), CheckError) << v;
+  }
+  for (const char* v : {"--x=", "--x=99999999999999999999", "--x=-99999999999999999999"})
+    EXPECT_THROW((void)make({v}).get_int("x", 0), CheckError) << v;
+  for (const char* v : {"--x=1,nan", "--x=1,", "--x=1,,2", "--x=,1"})
+    EXPECT_THROW((void)make({v}).get_double_list("x", {}), CheckError) << v;
+  // A value outside int is rejected where a flag narrows to int.
+  for (const char* v : {"--x=4294967298", "--x=2147483648", "--x=-2147483649"})
+    EXPECT_THROW((void)make({v}).get_int32("x", 0), CheckError) << v;
+  EXPECT_EQ(make({"--x=2147483647"}).get_int32("x", 0), 2147483647);
+  EXPECT_EQ(make({"--x=-2147483648"}).get_int32("x", 0), -2147483647 - 1);
+  EXPECT_EQ(make({"--x=4294967298"}).get_int("x", 0), 4294967298LL);
 }
 
 TEST(Flags, LastValueWins) {
@@ -134,6 +149,15 @@ TEST(FlagsDeathTest, ParseOrExitRejectsMalformedValueWithUsage) {
               "usage: prog");
   EXPECT_EXIT((void)f.get_bool("full", false), ::testing::ExitedWithCode(2),
               "usage: prog");
+
+  const char* numeric[] = {"prog", "--hours=", "--days=nan", "--nodes=4294967298"};
+  const Flags g = Flags::parse_or_exit(4, numeric, {"hours", "days", "nodes"});
+  EXPECT_EXIT((void)g.get_double("hours", 0.0), ::testing::ExitedWithCode(2),
+              "bad double for --hours: \nusage: prog");
+  EXPECT_EXIT((void)g.get_double("days", 0.0), ::testing::ExitedWithCode(2),
+              "bad double for --days: nan\nusage: prog");
+  EXPECT_EXIT((void)g.get_int32("nodes", 0), ::testing::ExitedWithCode(2),
+              "bad integer for --nodes: 4294967298 \\(outside int\\)\nusage: prog");
 }
 
 TEST(FlagsDeathTest, ParseOrExitAcceptsKnownFlags) {

@@ -1,5 +1,7 @@
 #include "sim/sharded_sim.hpp"
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -220,6 +222,31 @@ TEST(ShardedEngine, RejectsBadConfigs) {
                                       lat::LinkModelConfig{}, all_up(),
                                       {{0, 1, -2.0, 10.0}}),
                CheckError);
+}
+
+// Per-node engine state stays flat as n grows: client slabs, link rows and
+// gossip membership follow the links each node touches, not n. A dense
+// per-client link index or an n^2 link table would read 4x per node here.
+TEST(ShardedEngine, PerNodeStateFlatAsNodesGrow) {
+  const auto per_node = [](int nodes) {
+    eval::ScenarioSpec spec = eval::make_scenario("planetlab");
+    spec.mode = eval::SimMode::kOnline;
+    spec.workload.num_nodes = nodes;
+    spec.workload.duration_s = 36.0;  // 0.01 h: about 1 s in Release
+    spec.workload.seed = 7;
+    spec.shards = 2;
+    const MemoryBudget m = eval::run_scenario(spec).memory;
+    const double n = nodes;
+    return std::array{m.client_bytes / n, m.link_bytes / n, m.neighbor_bytes / n};
+  };
+  const auto small = per_node(4000);
+  const auto large = per_node(16000);
+  const char* names[] = {"client", "link", "neighbor"};
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_GT(small[i], 0.0) << names[i];
+    EXPECT_LT(large[i], 1.25 * small[i]) << names[i] << " bytes per node";
+    EXPECT_LT(small[i], 1.25 * large[i]) << names[i] << " bytes per node";
+  }
 }
 
 // Scheduled route changes reach both directions of the sharded link state.

@@ -542,6 +542,9 @@ TEST(SnapshotDeltas, PublishBytesAreChurnProportional) {
 // this binary): reader threads each hold their OWN SnapshotView and refresh
 // while the shard workers publish deltas. Versions never go backwards,
 // refresh never trails published(), and every refreshed view is complete.
+// Once the run ends, each view refreshes once more and must equal the final
+// full publication in version and slot for slot; at least one reader must
+// have caught up by deltas mid-run, the path a shadow reader follows.
 TEST(SnapshotDeltas, ConcurrentViewReadersDuringRun) {
   OnlineSimConfig c = small_config(600.0);
   c.publish_snapshots = true;
@@ -553,6 +556,7 @@ TEST(SnapshotDeltas, ConcurrentViewReadersDuringRun) {
   std::atomic<bool> stop{false};
   std::atomic<bool> monotonic{true};
   std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> mid_run_delta_refreshes{0};
   const auto reader = [&] {
     est::SnapshotView view(&sim.snapshot_publisher());
     std::uint64_t last_version = 0;
@@ -574,6 +578,18 @@ TEST(SnapshotDeltas, ConcurrentViewReadersDuringRun) {
     }
     EXPECT_GE(sink, 0.0);
     EXPECT_GT(view.full_rebuilds() + view.delta_refreshes(), 0u);
+    mid_run_delta_refreshes.fetch_add(view.delta_refreshes(), std::memory_order_relaxed);
+
+    // stop is set after run() returned: no publish is left to race with.
+    const est::EpochSnapshot* last = view.refresh();
+    const auto final_snap = sim.snapshot_publisher().latest();
+    EXPECT_NE(last, nullptr);
+    EXPECT_NE(final_snap, nullptr);
+    if (last != nullptr && final_snap != nullptr) {
+      EXPECT_EQ(last->version, final_snap->version);
+      EXPECT_EQ(last->version, sim.snapshot_publisher().published());
+      EXPECT_EQ(last->nodes, final_snap->nodes);
+    }
   };
 
   std::thread r1(reader);
@@ -586,6 +602,7 @@ TEST(SnapshotDeltas, ConcurrentViewReadersDuringRun) {
   EXPECT_TRUE(monotonic.load());
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GT(sim.snapshot_publisher().published(), 0u);
+  EXPECT_GT(mid_run_delta_refreshes.load(), 0u);
 }
 
 // Delta-mode memory accounting is split and visible: the base side carries
